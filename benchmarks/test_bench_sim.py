@@ -1,4 +1,4 @@
-"""Benchmark: hierarchy simulation throughput, batch engine vs scalar.
+"""Benchmark: hierarchy simulation throughput, native engine vs scalar.
 
 Times the simulation drivers end to end on the paper's full-scale
 POWER5 (15360-line L2) and writes machine-readable results to
@@ -6,12 +6,11 @@ POWER5 (15360-line L2) and writes machine-readable results to
 
 Four paths are measured, one row each:
 
-* **solo** -- one process, prefetch off: the closed-form LRU kernel
-  path (``repro.sim.fastsim._drive_kernel``).  Gate: >= 5x the scalar
+* **solo** -- one process, prefetch off: the compiled native engine
+  (``repro.sim.fastsim.drive_native``).  Gate: >= 5x the scalar
   ``drive`` loop's accesses/sec on every measured workload.
 * **prefetch_on** -- one process with the stream prefetcher enabled:
-  the compiled native engine (``repro.sim._native``).  Gate: >= 5x
-  scalar.
+  the same native engine.  Gate: >= 5x scalar.
 * **corun** -- two processes sharing the L2 under the cycle-fair
   scheduler with prefetching on: the native co-run kernel
   (``fastsim.NativeCorun``).  Gate: >= 10x the scalar interleave.
@@ -21,11 +20,11 @@ Four paths are measured, one row each:
   exactly (wall-clock is reported but not gated: the pool only helps
   on multi-core hosts).
 
-A parity gate rides along with each timing: the batch run's counters
+A parity gate rides along with each timing: the native run's counters
 and cache statistics must be bit-identical to the scalar run's, and
-every batch-engine drive in this file must complete with zero
-``sim.batch_fallbacks`` (all configurations here are LRU, so the fast
-paths must never bail to the scalar loop).  A fast engine that drifts
+every native-engine drive in this file must complete with zero
+``sim.batch_fallbacks`` (all configurations here are LRU, so the native
+engine must never bail to the scalar loop).  A fast engine that drifts
 is worse than no fast engine; CI fails on any divergence.
 
 Environment overrides (the CI smoke job shortens the runs):
@@ -78,7 +77,9 @@ ROUNDS = 2
 def machine():
     # Full-scale POWER5: the configuration the fast path's speedup
     # targets are stated against (scaled machines shrink the slabs).
-    return MachineConfig()
+    # Explicitly scalar: the baseline side of every row; the native
+    # side is ``machine.with_engine("native")``.
+    return MachineConfig().with_engine("scalar")
 
 
 def _build_solo(machine, name, prefetch):
@@ -120,7 +121,7 @@ def _solo_rows(machine, telemetry, prefetch):
         scalar_s, scalar_state = _time_solo(machine, name, drive, prefetch)
         with use_telemetry(telemetry):
             batch_s, batch_state = _time_solo(
-                machine.with_engine("batch"), name, drive_batch, prefetch
+                machine.with_engine("native"), name, drive_batch, prefetch
             )
         # Parity gate: bit-identical counters, stats, and cycle clocks.
         assert batch_state == scalar_state, name
@@ -145,7 +146,7 @@ def _time_corun(machine, telemetry):
 
     results = {}
     for label, m in (("scalar", machine),
-                     ("batch", machine.with_engine("batch"))):
+                     ("batch", machine.with_engine("native"))):
         best, outcome = float("inf"), None
         for _ in range(ROUNDS):
             start = time.perf_counter()
@@ -171,7 +172,7 @@ def _time_sharded(machine):
     Uses its own telemetry sinks (one per run) so the counter
     comparison is exact rather than a delta against the earlier paths.
     """
-    batch = machine.with_engine("batch")
+    batch = machine.with_engine("native")
     workload = make_workload("mcf", batch)
     config = OfflineConfig()
 

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.estimators import ESTIMATORS
 from repro.io.perf_script import parse_perf_script, split_by_pid
+from repro.sim.machine import resolve_sim_engine
 from repro.workloads import WORKLOAD_NAMES
 
 __all__ = [
@@ -48,11 +49,9 @@ class MachineSpec:
     def __post_init__(self) -> None:
         if self.scale < 1:
             raise ValueError(f"machine scale must be >= 1, got {self.scale!r}")
-        if self.sim_engine not in ("scalar", "batch"):
-            raise ValueError(
-                f"unknown sim_engine {self.sim_engine!r}; "
-                "options: 'scalar', 'batch'"
-            )
+        object.__setattr__(
+            self, "sim_engine", resolve_sim_engine(self.sim_engine)
+        )
 
     @property
     def ident(self) -> str:

@@ -23,12 +23,15 @@ from repro.obs import telemetry_session
 from repro.runner.offline import OfflineConfig, real_mrc
 from repro.reliability.faults import FAULT_KINDS, FaultPlan
 from repro.runner.online import OnlineProbeConfig, collect_trace
-from repro.sim.machine import MachineConfig
+from repro.sim.machine import SIM_ENGINES, MachineConfig
 from repro.store.mrc_store import MRCStore
 from repro.store.signature import workload_signature
 from repro.workloads import WORKLOAD_NAMES, make_workload
 
 __all__ = ["main"]
+
+#: ``--sim-engine`` values; ``batch`` is the deprecated alias of ``native``.
+SIM_ENGINE_CHOICES = [*SIM_ENGINES, "batch"]
 
 
 def _machine(args: argparse.Namespace) -> MachineConfig:
@@ -210,8 +213,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("no samples to analyze", file=sys.stderr)
         return 1
     instructions = args.instructions or 48 * len(trace)
-    # analyze has no hierarchy to simulate: --sim-engine batch means the
-    # batch stack-distance engine, exactly what --fast selects.
+    # analyze has no hierarchy to simulate: the deprecated --sim-engine
+    # batch means the batch stack-distance engine, exactly what --fast
+    # selects.
     use_batch = args.fast or args.sim_engine == "batch"
     probe_config = (
         ProbeConfig(stack_engine="batch") if use_batch else ProbeConfig()
@@ -591,10 +595,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 0.1)",
     )
     probe.add_argument(
-        "--sim-engine", choices=["scalar", "batch"], default=None,
-        help="hierarchy simulation engine: 'batch' drives the probe and "
-             "--real runs through the vectorized fast path "
-             "(bit-identical results, several times faster)",
+        "--sim-engine", choices=SIM_ENGINE_CHOICES, default=None,
+        help="hierarchy simulation engine for the probe and --real runs: "
+             "'native' (default; compiled, bit-identical to 'scalar'); "
+             "'batch' is a deprecated alias of 'native'",
     )
     probe.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -625,9 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute each MRC with the vectorized batch engine",
     )
     part.add_argument(
-        "--sim-engine", choices=["scalar", "batch"], default=None,
-        help="hierarchy simulation engine: 'batch' drives both probes "
-             "and the real-MRC runs through the vectorized fast path",
+        "--sim-engine", choices=SIM_ENGINE_CHOICES, default=None,
+        help="hierarchy simulation engine for both probes and the "
+             "real-MRC runs (default 'native'; 'batch' is a deprecated "
+             "alias of 'native')",
     )
     part.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -678,8 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--sim-engine", choices=["scalar", "batch"], default=None,
-        help="'batch' selects the vectorized stack-distance engine for "
-             "the MRC computation (same engine --fast enables)",
+        help="deprecated: analyze simulates no hierarchy; 'batch' is an "
+             "alias of --fast",
     )
     analyze.add_argument(
         "--telemetry", metavar="PATH", default=None,

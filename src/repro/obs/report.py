@@ -251,10 +251,10 @@ class RunReport:
     def sim_engine(self) -> str:
         """Which simulation engine drove the run's accesses.
 
-        ``"batch"`` when any accesses went through the fast engine
+        ``"native"`` when any accesses ran on the compiled engine
         (:mod:`repro.sim.fastsim`), ``"scalar"`` otherwise.
         """
-        return "batch" if self.counter_total("sim.batch_accesses") else "scalar"
+        return "native" if self.counter_total("sim.batch_accesses") else "scalar"
 
     # -- rendering ----------------------------------------------------------
 
@@ -278,23 +278,20 @@ class RunReport:
             out(f"time series: {len(self.series.get('series', ()))} series "
                 f"({', '.join(names[:6])}"
                 f"{', ...' if len(names) > 6 else ''})")
-        engine = self.sim_engine()
-        if engine == "batch":
-            by_path = self.counter_by_label("sim.batch_accesses", "engine")
-            detail = ", ".join(
-                f"{path} {count}" for path, count in sorted(by_path.items())
+        fallbacks = " ".join(
+            f"{reason}={count}" for reason, count in sorted(
+                self.counter_by_label("sim.batch_fallbacks", "reason").items()
             )
-            fallbacks = self.counter_total("sim.batch_fallbacks")
-            out(f"simulation engine: batch ({detail} accesses; "
-                f"{fallbacks} fallbacks)")
+        ) or "none"
+        native = self.counter_total("sim.batch_accesses")
+        if native:
+            out(f"simulation engine: native ({native} accesses; "
+                f"fallbacks: {fallbacks})")
             rates = self.accesses_per_sec()
             if "" in rates:
-                per_engine = ", ".join(
-                    f"{path} {rate:,.0f}/s"
-                    for path, rate in sorted(rates.items()) if path
-                )
-                out(f"batched throughput: {rates['']:,.0f} accesses/s "
-                    f"({per_engine})")
+                out(f"batched throughput: {rates['']:,.0f} accesses/s")
+        elif fallbacks != "none":
+            out(f"simulation engine: scalar (fallbacks: {fallbacks})")
         else:
             out("simulation engine: scalar")
         out("")

@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.runner.driver import Process
 from repro.sim.cpu import IssueMode
+from repro.sim.fastsim import NativeCorun, count_fallback, fallback_reason
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
@@ -103,30 +104,17 @@ def corun(
         )
 
     steps = [partial(p.step, hierarchy) for p in processes]
-    flushes = []
     native_runner = None
-    if machine.sim_engine == "batch":
-        from repro.obs import get_telemetry
-        from repro.sim.fastsim import (
-            FastStepper,
-            NativeCorun,
-            native_eligible,
-            slab_eligible,
-        )
-
-        if all(slab_eligible(p, hierarchy) for p in processes):
-            steppers = [FastStepper(p, hierarchy) for p in processes]
-            steps = [s.step for s in steppers]
-            flushes = [s.flush for s in steppers]
-            if all(native_eligible(p, hierarchy) for p in processes):
-                # The whole interleave runs inside one C call; the
-                # steppers stay armed as the fallback for streams the
-                # native engine cannot take (negative vaddrs).
-                native_runner = NativeCorun(processes, hierarchy)
+    if machine.sim_engine == "native":
+        reasons = (fallback_reason(p, hierarchy) for p in processes)
+        reason = next(filter(None, reasons), None)
+        if reason is None:
+            # The whole interleave runs inside one C call; the scalar
+            # steps below stay armed for streams the native engine
+            # cannot take (negative vaddrs).
+            native_runner = NativeCorun(processes, hierarchy)
         else:
-            get_telemetry().registry.counter(
-                "sim.batch_fallbacks", reason="replacement"
-            ).inc()
+            count_fallback(reason)
 
     def run_until(target_extra: int) -> None:
         """Advance processes clock-fairly until one executes target_extra
@@ -138,9 +126,10 @@ def corun(
                 return
             # A chunk the native engine cannot simulate: its state is
             # committed and no process has reached its quota yet, so the
-            # stepper heap below continues the leg access-exactly.  Stay
+            # scalar heap below continues the leg access-exactly.  Stay
             # off the native path for the rest of this co-run.
             native_runner = None
+            count_fallback("vaddr")
         # Min-heap on (cycles, index): always step the least-advanced
         # process in virtual time.
         heap: List[Tuple[float, int]] = [
@@ -155,22 +144,18 @@ def corun(
                 return
             heapq.heappush(heap, (process.cycles, index))
 
-    try:
-        if warmup_accesses > 0:
-            run_until(warmup_accesses)
-            hierarchy.reset_counters()
-            for process in processes:
-                process.reset_metrics()
-            # Cycle clocks are *not* reset: fairness carries over; but IPC
-            # accounting below uses deltas.
-            cycle_base = [p.cycles for p in processes]
-        else:
-            cycle_base = [0.0] * len(processes)
+    if warmup_accesses > 0:
+        run_until(warmup_accesses)
+        hierarchy.reset_counters()
+        for process in processes:
+            process.reset_metrics()
+        # Cycle clocks are *not* reset: fairness carries over; but IPC
+        # accounting below uses deltas.
+        cycle_base = [p.cycles for p in processes]
+    else:
+        cycle_base = [0.0] * len(processes)
 
-        run_until(quota_accesses)
-    finally:
-        for flush in flushes:
-            flush()
+    run_until(quota_accesses)
 
     ipc: List[float] = []
     mpki: List[float] = []

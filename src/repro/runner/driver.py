@@ -14,6 +14,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.sim.cpu import CostModel, IssueMode
+from repro.sim.fastsim import (
+    DEFAULT_SLAB,
+    CollectorStop,
+    count_fallback,
+    drive_native,
+    fallback_reason,
+)
 from repro.sim.hierarchy import AccessResult, MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
@@ -64,10 +71,10 @@ class Process:
         if colors is not None:
             allocator.set_colors(pid, colors)
         self._seed_offset = seed_offset
-        # Created lazily on first use so the batch engine can adopt a
-        # never-pulled stream with native array generation instead of
-        # wrapping a live iterator (repro.sim.fastsim redirects this
-        # through its BatchAccessSource either way).
+        # Created lazily on first use so the native engine can adopt a
+        # never-pulled stream with array generation instead of wrapping
+        # a live iterator (repro.sim.fastsim redirects this through its
+        # BatchAccessSource either way).
         self._stream: Optional[Iterator[MemoryAccess]] = None
         self.machine = allocator.machine
         self._pf_config = prefetcher or PrefetcherConfig()
@@ -87,7 +94,7 @@ class Process:
         self._pf_random = self._pf_rng.random
         self._pf_late = self._pf_config.late_probability
         self._pf_install = self._pf_config.l1_install_probability
-        # Set by the batch engine when it adopts this process's stream;
+        # Set by the native engine when it adopts this process's stream;
         # scalar step() keeps working through it (see repro.sim.fastsim).
         self._fastsim_source = None
 
@@ -200,18 +207,48 @@ def drive_batch(
     num_accesses: int,
     observer: Optional[Callable[[AccessResult], None]] = None,
     stop: Optional[Callable[[], bool]] = None,
-    slab_size: Optional[int] = None,
+    slab_size: int = DEFAULT_SLAB,
 ) -> int:
-    """Batched sibling of :func:`drive`: same semantics, same results.
+    """:func:`drive` on the machine's simulation engine: the runners' entry point.
 
-    Dispatches to :mod:`repro.sim.fastsim`, which simulates the access
-    stream in array slabs (kernelized when the configuration allows,
-    slab-scalar otherwise) and is bit-identical to :func:`drive`.
+    A ``sim_engine="scalar"`` machine runs :func:`drive`, the reference.
+    A ``"native"`` machine runs the compiled engine
+    (:func:`repro.sim.fastsim.drive_native`) wherever it covers the run
+    and hands the rest to :func:`drive`, counting
+    ``sim.batch_fallbacks{reason}``; a chunk of negative addresses hands
+    off mid-run, access-exactly.  Results are bit-identical either way.
+    ``slab_size`` is the native engine's chunk length.
     """
-    from repro.sim.fastsim import DEFAULT_SLAB
-    from repro.sim.fastsim import drive_batch as _drive_batch
-
-    return _drive_batch(
-        process, hierarchy, num_accesses, observer=observer, stop=stop,
-        slab_size=slab_size if slab_size is not None else DEFAULT_SLAB,
-    )
+    if num_accesses <= 0:
+        return 0
+    if hierarchy.machine.sim_engine != "native":
+        return drive(process, hierarchy, num_accesses, observer=observer,
+                     stop=stop)
+    reason = fallback_reason(process, hierarchy)
+    events_fn = None
+    if reason is None:
+        # The engine runs ahead of the observer, so the observer must be
+        # a collector speaking the batched ``observe_events`` protocol
+        # and the stop predicate absent or that collector's
+        # ``CollectorStop`` (so the exact stop access can be found).
+        owner = None
+        if observer is not None:
+            owner = getattr(observer, "__self__", None)
+            events_fn = getattr(owner, "observe_events", None)
+        if (observer is not None and events_fn is None) or not (
+            stop is None
+            or (isinstance(stop, CollectorStop)
+                and (observer is None or stop.collector is owner))
+        ):
+            reason = "observer"
+    executed = 0
+    if reason is None:
+        executed, finished = drive_native(
+            process, hierarchy, num_accesses, events_fn, stop, slab_size
+        )
+        if finished:
+            return executed
+        reason = "vaddr"
+    count_fallback(reason)
+    return executed + drive(process, hierarchy, num_accesses - executed,
+                            observer=observer, stop=stop)

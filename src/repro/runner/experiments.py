@@ -237,8 +237,7 @@ def fig3_accuracy(
         max_workers: probe the applications in parallel worker processes
             (each row is independent); ``None`` stays sequential.
         sim_engine: override the machine's simulation engine
-            (``"batch"`` runs every measurement and probe through
-            :mod:`repro.sim.fastsim`; results are bit-identical).
+            (``"native"`` or ``"scalar"``; results are bit-identical).
     """
     machine = machine or default_machine()
     if sim_engine is not None:
@@ -530,8 +529,7 @@ def fig7_partitioning(
         max_workers: probe the two co-runners of each pair in parallel
             worker processes (they are independent runs).
         sim_engine: override the machine's simulation engine
-            (``"batch"`` runs probes, offline MRCs, and co-runs through
-            :mod:`repro.sim.fastsim`; results are bit-identical).
+            (``"native"`` or ``"scalar"``; results are bit-identical).
     """
     machine = machine or default_machine()
     if sim_engine is not None:

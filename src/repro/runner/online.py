@@ -39,7 +39,7 @@ from repro.reliability.quality import (
     QualityConfig,
     assess_probe,
 )
-from repro.runner.driver import Process, drive, drive_batch
+from repro.runner.driver import Process, drive_batch
 from repro.sim.cpu import IssueMode
 from repro.sim.fastsim import CollectorStop
 from repro.sim.hierarchy import MemoryHierarchy
@@ -193,7 +193,6 @@ def collect_trace(
     elif fast is False and probe_config.stack_engine == "batch":
         probe_config = replace(probe_config, stack_engine="rangelist")
     log_entries = probe_config.resolved_log_entries(machine)
-    driver = drive_batch if machine.sim_engine == "batch" else drive
     telemetry = get_telemetry()
     with telemetry.tracer.span("probe", workload=workload.name):
         hierarchy = MemoryHierarchy(machine, num_cores=1)
@@ -207,7 +206,7 @@ def collect_trace(
             issue_mode=online.issue_mode,
             prefetcher=PrefetcherConfig(enabled=online.prefetch_enabled),
         )
-        driver(process, hierarchy, online.resolved_warmup(machine))
+        drive_batch(process, hierarchy, online.resolved_warmup(machine))
 
         if online.use_ideal_pmu:
             collector = IdealTraceCollector(
@@ -227,7 +226,7 @@ def collect_trace(
         with telemetry.tracer.span(
             "trace_collect", workload=workload.name, log_capacity=log_entries
         ):
-            executed = driver(
+            executed = drive_batch(
                 process,
                 hierarchy,
                 online.resolved_max_accesses(machine, log_entries),

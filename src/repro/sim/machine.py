@@ -13,9 +13,29 @@ working: a page must not span more L2 sets than one color owns.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
-__all__ = ["MachineConfig"]
+__all__ = ["MachineConfig", "SIM_ENGINES", "resolve_sim_engine"]
+
+#: Valid ``sim_engine`` values.
+SIM_ENGINES = ("scalar", "native")
+
+
+def resolve_sim_engine(name: str) -> str:
+    """Validate a ``sim_engine`` value, mapping the deprecated ``"batch"``
+    alias to ``"native"`` (with a :class:`FutureWarning`)."""
+    if name == "batch":
+        warnings.warn(
+            "sim_engine 'batch' is deprecated; use 'native'",
+            FutureWarning, stacklevel=2,
+        )
+        return "native"
+    if name not in SIM_ENGINES:
+        raise ValueError(
+            f"unknown sim_engine {name!r}; options: 'scalar', 'native'"
+        )
+    return name
 
 
 @dataclass(frozen=True)
@@ -53,18 +73,16 @@ class MachineConfig:
     l3_latency: int = 87
     memory_latency: int = 220
 
-    # Simulation engine: "scalar" steps one access at a time through
-    # MemoryHierarchy.access; "batch" uses repro.sim.fastsim's slab
-    # engine (bit-identical results, falling back to slab-scalar or
-    # scalar execution for configurations the kernel does not cover).
-    sim_engine: str = "scalar"
+    # Simulation engine: "native" runs the compiled C engine wherever it
+    # covers the run (repro.sim.fastsim) and the scalar reference
+    # elsewhere; "scalar" always steps one access at a time through
+    # MemoryHierarchy.access.  Results are bit-identical.
+    sim_engine: str = "native"
 
     def __post_init__(self) -> None:
-        if self.sim_engine not in ("scalar", "batch"):
-            raise ValueError(
-                f"unknown sim_engine {self.sim_engine!r}; "
-                "options: 'scalar', 'batch'"
-            )
+        object.__setattr__(
+            self, "sim_engine", resolve_sim_engine(self.sim_engine)
+        )
         for attr in ("l1i", "l1d", "l2"):
             size = getattr(self, f"{attr}_size")
             assoc = getattr(self, f"{attr}_assoc")

@@ -1,4 +1,4 @@
-"""ctypes harness for the native C slab engine (``_native.c``).
+"""ctypes harness for the native C simulation engine (``_native.c``).
 
 The C engine is an exact transliteration of the scalar hot path --
 ``Process.step`` + ``MemoryHierarchy.access`` + the stream prefetcher
@@ -7,20 +7,19 @@ other half of the contract:
 
 - **build**: compile ``_native.c`` with the system C compiler on first
   use, keyed by a hash of the source (so edits invalidate the cache),
-  and load it through ctypes.  No compiler, no native engine -- callers
-  fall back to the numpy kernel / slab paths.
+  and load it through ctypes.  No compiler, no native engine -- every
+  drive runs on the scalar reference loop instead.
 - **marshal**: :class:`NativeSession` adopts the live Python objects
   (caches, counters, allocator slices, prefetcher streams, the CPython
   MT19937 state) into C-visible arrays, and commits the advanced state
-  back so scalar and batched execution interleave seamlessly.
+  back so scalar and native execution interleave seamlessly.
 - **protocol**: the engine never allocates; when a step *would*
   overflow a map or log it stops cleanly before mutating anything and
   reports a ``STOP_GROW_*`` reason.  The session grows the buffer
   in place and resumes -- state is bit-identical either way.
 
 Kill switch: set ``REPRO_NATIVE=0`` to disable the native engine
-entirely (the batch engine then behaves exactly as before this engine
-existed).
+entirely; every run then takes the scalar path, with the same results.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ import numpy as np
 
 __all__ = [
     "NativeSession",
+    "mt_fill",
     "native_lib",
     "native_available",
     "STOP_NONE",
@@ -231,8 +231,10 @@ def native_available() -> bool:
 
 
 def mt_fill(rng_state: tuple, n: int) -> Tuple[np.ndarray, tuple]:
-    """``n`` consecutive ``random()`` draws via the C MT19937 (parity
-    testing hook).  Returns ``(draws, advanced_state)``."""
+    """``n`` consecutive ``random()`` draws via the C MT19937, from a
+    ``random.Random.getstate()`` tuple.  Returns ``(draws,
+    advanced_state)``; the workloads' vectorized generators draw through
+    it (:func:`repro.workloads.base.draw_uniform`)."""
     lib = native_lib()
     if lib is None:
         raise RuntimeError("native engine unavailable")

@@ -30,6 +30,7 @@ telemetry registry (no-op by default, see :mod:`repro.obs`).
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -270,7 +271,11 @@ class MRCStore:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write the store (config + entries, LRU order) as JSON."""
+        """Write the store (config + entries, LRU order) as JSON.
+
+        Atomic (tmp + rename): a save that dies midway leaves the
+        previous file, and with it the warm start, intact.
+        """
         payload = {
             "format": _FORMAT,
             "config": {
@@ -288,9 +293,16 @@ class MRCStore:
             },
             "entries": [entry.to_dict() for entry in self._entries.values()],
         }
-        with open(path, "w", encoding="utf-8") as out:
-            json.dump(payload, out, indent=2, sort_keys=True)
-            out.write("\n")
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as out:
+                json.dump(payload, out, indent=2, sort_keys=True)
+                out.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(

@@ -34,28 +34,21 @@ AccessBatch = Tuple[np.ndarray, np.ndarray]
 def draw_uniform(rng: random.Random, count: int) -> np.ndarray:
     """``count`` consecutive ``rng.random()`` draws as a float64 array.
 
-    Bit-identical to calling ``rng.random()`` ``count`` times -- CPython's
-    ``random.Random`` and ``numpy.random.RandomState`` share the MT19937
-    core and build each double from the same two 32-bit words with the
-    same (exact, power-of-two) scaling -- but generated in C.  The
-    Python RNG's state is transferred in, advanced by the vectorized
-    draw, and written back, so scalar draws may continue seamlessly.
+    Bit-identical to calling ``rng.random()`` ``count`` times, and
+    ``rng`` is advanced exactly as far, so scalar draws may continue
+    seamlessly.  The draws come from the native engine's CPython-exact
+    MT19937 (:func:`repro.sim.native.mt_fill`) when it is available and
+    from ``rng.random()`` itself otherwise.
     """
     if count <= 0:
         return np.empty(0, dtype=np.float64)
-    version, internal, gauss_next = rng.getstate()
-    if version != 3 or len(internal) != 625:  # pragma: no cover - exotic VM
-        return np.fromiter(
-            (rng.random() for _ in range(count)), np.float64, count
-        )
-    state = np.random.RandomState()
-    state.set_state(
-        ("MT19937", np.asarray(internal[:624], dtype=np.uint32), internal[624])
-    )
-    out = state.random_sample(count)
-    _mt, keys, pos, _hg, _cg = state.get_state()
-    rng.setstate((version, tuple(int(k) for k in keys) + (pos,), gauss_next))
-    return out
+    from repro.sim.native import mt_fill, native_available
+
+    if native_available():
+        out, state = mt_fill(rng.getstate(), count)
+        rng.setstate(state)
+        return out
+    return np.fromiter((rng.random() for _ in range(count)), np.float64, count)
 
 
 class BatchCursor:

@@ -1,25 +1,22 @@
-"""Differential tests for the batched simulation engine.
+"""Differential tests: the native engine against the scalar reference.
 
-The contract of :mod:`repro.sim.fastsim` is *bit identity*: for every
-covered configuration, ``drive_batch`` must leave the hierarchy, the
-process clocks, and every observer in exactly the state the scalar
-``drive`` loop would have -- not approximately, not statistically.
-These tests hold scalar and batch runs side by side and compare
-everything observable: per-core counters, per-cache statistics, resident
-lines in LRU order, float cycle clocks, collected PMU traces, computed
-MRCs, and co-run schedules.  The LRU slab kernel is additionally checked
-against a brute-force OrderedDict simulation under hypothesis-generated
-workloads.
+The contract of ``drive_batch`` on a ``sim_engine="native"`` machine is
+*bit identity*: for every configuration, it must leave the hierarchy,
+the process clocks, and every observer in exactly the state the scalar
+``drive`` loop would have -- not approximately, not statistically --
+whether the compiled engine ran the accesses or handed them to the
+scalar loop.  These tests hold scalar and native runs side by side and
+compare everything observable: per-core counters, per-cache statistics,
+resident lines in LRU order, float cycle clocks, collected PMU traces,
+computed MRCs, and co-run schedules.  They pass with ``REPRO_NATIVE=0``
+too, where every native-configured drive falls back to the scalar loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import random
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.obs import Telemetry, use_telemetry
 from repro.obs.report import RunReport
@@ -29,20 +26,17 @@ from repro.runner.offline import OfflineConfig, mpki_timeline, real_mrc
 from repro.runner.online import OnlineProbeConfig, collect_trace
 from repro.sim.cache import CacheConfig, SetAssociativeCache
 from repro.sim.cpu import IssueMode
-from repro.sim.fastsim import (
-    DEFAULT_SLAB,
-    _lru_slab,
-    kernel_eligible,
-    slab_eligible,
-)
+from repro.pmu.sampling import TraceCollector
+from repro.sim.fastsim import DEFAULT_SLAB, fallback_reason
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
+from repro.sim.native import native_available
 from repro.sim.prefetcher import PrefetcherConfig
 from repro.workloads.spec import make_workload
 
-MACHINE = MachineConfig.scaled(32)
-BATCH = MACHINE.with_engine("batch")
+MACHINE = MachineConfig.scaled(32).with_engine("scalar")
+NATIVE = MACHINE.with_engine("native")
 
 
 def _build(machine, name, prefetch=True, colors=None,
@@ -88,7 +82,7 @@ def _state(hierarchy, process):
 def _run_pair(name, accesses, **kwargs):
     hier_s, proc_s = _build(MACHINE, name, **kwargs)
     executed_s = drive(proc_s, hier_s, accesses)
-    hier_b, proc_b = _build(MACHINE, name, **kwargs)
+    hier_b, proc_b = _build(NATIVE, name, **kwargs)
     executed_b = drive_batch(proc_b, hier_b, accesses)
     assert executed_s == executed_b
     return _state(hier_s, proc_s), _state(hier_b, proc_b)
@@ -113,25 +107,25 @@ class TestDriveBatchBitIdentity:
         from repro.workloads.base import Workload
         from repro.workloads.patterns import ZipfWorkingSet
 
-        def build():
+        def build(machine):
             workload = Workload(
                 f"stores-{store_fraction}",
-                ZipfWorkingSet(footprint=4 * MACHINE.l2_size),
+                ZipfWorkingSet(footprint=4 * machine.l2_size),
                 instructions_per_access=48,
                 store_fraction=store_fraction,
                 seed=11,
             )
-            hierarchy = MemoryHierarchy(MACHINE, num_cores=1)
+            hierarchy = MemoryHierarchy(machine, num_cores=1)
             process = Process(
                 pid=0, workload=workload, core=0,
-                allocator=PageAllocator(MACHINE),
+                allocator=PageAllocator(machine),
                 prefetcher=PrefetcherConfig(enabled=False),
             )
             return hierarchy, process
 
-        hier_s, proc_s = build()
+        hier_s, proc_s = build(MACHINE)
         drive(proc_s, hier_s, 12_000)
-        hier_b, proc_b = build()
+        hier_b, proc_b = build(NATIVE)
         drive_batch(proc_b, hier_b, 12_000)
         assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
 
@@ -142,18 +136,17 @@ class TestDriveBatchBitIdentity:
         assert scalar == batch
 
     def test_no_l3(self):
-        machine = MACHINE.without_l3()
-        hier_s, proc_s = _build(machine, "mcf", prefetch=False)
+        hier_s, proc_s = _build(MACHINE.without_l3(), "mcf", prefetch=False)
         drive(proc_s, hier_s, 15_000)
-        hier_b, proc_b = _build(machine, "mcf", prefetch=False)
+        hier_b, proc_b = _build(NATIVE.without_l3(), "mcf", prefetch=False)
         drive_batch(proc_b, hier_b, 15_000)
         assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
 
     def test_small_slabs_cross_boundaries(self):
         """Slab boundaries are invisible: tiny slabs == one big slab."""
-        hier_a, proc_a = _build(MACHINE, "jbb", prefetch=False)
+        hier_a, proc_a = _build(NATIVE, "jbb", prefetch=False)
         drive_batch(proc_a, hier_a, 10_000, slab_size=257)
-        hier_b, proc_b = _build(MACHINE, "jbb", prefetch=False)
+        hier_b, proc_b = _build(NATIVE, "jbb", prefetch=False)
         drive_batch(proc_b, hier_b, 10_000, slab_size=DEFAULT_SLAB)
         assert _state(hier_a, proc_a) == _state(hier_b, proc_b)
 
@@ -162,7 +155,7 @@ class TestDriveBatchBitIdentity:
         hier_s, proc_s = _build(MACHINE, "mcf")
         drive(proc_s, hier_s, 12_000)
 
-        hier_m, proc_m = _build(MACHINE, "mcf")
+        hier_m, proc_m = _build(NATIVE, "mcf")
         drive_batch(proc_m, hier_m, 5_000)
         for _ in range(777):
             proc_m.step(hier_m)
@@ -170,33 +163,27 @@ class TestDriveBatchBitIdentity:
         assert _state(hier_s, proc_s) == _state(hier_m, proc_m)
 
 
-class TestEligibility:
-    def test_kernel_requires_prefetch_off(self):
-        hierarchy, process = _build(MACHINE, "jbb", prefetch=True)
-        assert slab_eligible(process, hierarchy)
-        assert not kernel_eligible(process, hierarchy)
-        hierarchy, process = _build(MACHINE, "jbb", prefetch=False)
-        assert kernel_eligible(process, hierarchy)
+def _non_lru_build(machine):
+    hierarchy, process = _build(machine, "jbb", prefetch=False)
+    hierarchy.l2 = SetAssociativeCache(CacheConfig(
+        size_bytes=machine.l2_size,
+        line_size=machine.line_size,
+        associativity=machine.l2_assoc,
+        replacement="random",
+    ))
+    return hierarchy, process
 
+
+class TestEligibility:
     def test_non_lru_falls_back_to_scalar(self):
         """A non-LRU L2 is uncovered: drive_batch must fall back to the
         scalar loop (identical results) and count the fallback."""
-        def build():
-            hierarchy, process = _build(MACHINE, "jbb", prefetch=False)
-            hierarchy.l2 = SetAssociativeCache(CacheConfig(
-                size_bytes=MACHINE.l2_size,
-                line_size=MACHINE.line_size,
-                associativity=MACHINE.l2_assoc,
-                replacement="random",
-            ))
-            return hierarchy, process
-
-        hier_s, proc_s = build()
+        hier_s, proc_s = _non_lru_build(MACHINE)
         drive(proc_s, hier_s, 8_000)
 
         telemetry = Telemetry.in_memory()
-        hier_b, proc_b = build()
-        assert not slab_eligible(proc_b, hier_b)
+        hier_b, proc_b = _non_lru_build(NATIVE)
+        assert fallback_reason(proc_b, hier_b) == "replacement"
         with use_telemetry(telemetry):
             drive_batch(proc_b, hier_b, 8_000)
         assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
@@ -207,21 +194,72 @@ class TestEligibility:
         assert report.counter_total("sim.batch_accesses") == 0
 
     def test_batch_path_counts_accesses(self):
-        from repro.sim.fastsim import native_eligible
-
         telemetry = Telemetry.in_memory()
-        hierarchy, process = _build(MACHINE, "jbb", prefetch=False)
-        engine = (
-            "native" if native_eligible(process, hierarchy) else "kernel"
-        )
+        hierarchy, process = _build(NATIVE, "jbb", prefetch=False)
         with use_telemetry(telemetry):
             drive_batch(process, hierarchy, 4_000)
         report = RunReport.from_telemetry(telemetry)
+        if not native_available():
+            assert report.counter_by_label(
+                "sim.batch_fallbacks", "reason"
+            ) == {"unavailable": 1}
+            assert report.sim_engine() == "scalar"
+            return
         assert report.counter_by_label(
             "sim.batch_accesses", "engine"
-        ) == {engine: 4_000}
+        ) == {"native": 4_000}
         assert report.counter_total("sim.batch_ns") > 0
-        assert report.sim_engine() == "batch"
+        assert report.counter_total("sim.batch_fallbacks") == 0
+        assert report.sim_engine() == "native"
+        assert "simulation engine: native (4000 accesses; fallbacks: none)" \
+            in report.render()
+
+    def test_scalar_machine_never_counts_fallbacks(self):
+        """``sim_engine="scalar"`` is a choice, not a fallback."""
+        telemetry = Telemetry.in_memory()
+        hierarchy, process = _build(MACHINE, "jbb", prefetch=False)
+        with use_telemetry(telemetry):
+            drive_batch(process, hierarchy, 2_000)
+        report = RunReport.from_telemetry(telemetry)
+        assert report.counter_total("sim.batch_fallbacks") == 0
+        assert report.counter_total("sim.batch_accesses") == 0
+
+
+class TestFallbackDifferential:
+    """Runs the native engine cannot take land on the scalar loop with
+    bit-identical results and the fallback reason on record."""
+
+    def test_non_lru_and_opaque_stop(self):
+        expected_opaque = "observer" if native_available() else "unavailable"
+
+        def run(machine, driver, build, stop_factory):
+            hierarchy, process = build(machine)
+            collector = TraceCollector(log_capacity=50, seed=3)
+            executed = driver(
+                process, hierarchy, 20_000,
+                observer=collector.observe, stop=stop_factory(collector),
+            )
+            return (executed, collector.log.entries(),
+                    _state(hierarchy, process))
+
+        def opaque(collector):
+            return lambda: collector.done
+
+        def prefetching(machine):
+            return _build(machine, "mcf", prefetch=True)
+
+        for build, reason in ((_non_lru_build, "replacement"),
+                              (prefetching, expected_opaque)):
+            telemetry = Telemetry.in_memory()
+            scalar = run(MACHINE, drive, build, opaque)
+            with use_telemetry(telemetry):
+                native = run(NATIVE, drive_batch, build, opaque)
+            assert scalar == native
+            report = RunReport.from_telemetry(telemetry)
+            assert report.counter_by_label(
+                "sim.batch_fallbacks", "reason"
+            ) == {reason: 1}
+            assert report.counter_total("sim.batch_accesses") == 0
 
 
 class TestProbeDifferential:
@@ -229,7 +267,7 @@ class TestProbeDifferential:
     def test_trace_collection_bit_identical(self, prefetch):
         online = OnlineProbeConfig(prefetch_enabled=prefetch)
         scalar = collect_trace(make_workload("mcf", MACHINE), MACHINE, online)
-        batch = collect_trace(make_workload("mcf", BATCH), BATCH, online)
+        batch = collect_trace(make_workload("mcf", NATIVE), NATIVE, online)
         assert dataclasses.asdict(scalar.probe) == dataclasses.asdict(batch.probe)
         assert scalar.accesses_executed == batch.accesses_executed
         assert dict(scalar.result.mrc.mpki) == dict(batch.result.mrc.mpki)
@@ -237,7 +275,7 @@ class TestProbeDifferential:
     def test_ideal_pmu_bit_identical(self):
         online = OnlineProbeConfig(use_ideal_pmu=True)
         scalar = collect_trace(make_workload("jbb", MACHINE), MACHINE, online)
-        batch = collect_trace(make_workload("jbb", BATCH), BATCH, online)
+        batch = collect_trace(make_workload("jbb", NATIVE), NATIVE, online)
         assert dataclasses.asdict(scalar.probe) == dataclasses.asdict(batch.probe)
         assert dict(scalar.result.mrc.mpki) == dict(batch.result.mrc.mpki)
 
@@ -247,7 +285,7 @@ class TestRunnerDifferential:
         config = OfflineConfig(warmup_accesses=4_000, measure_accesses=10_000)
         scalar = real_mrc(make_workload("swim", MACHINE), MACHINE, config,
                           sizes=[2, 8, 16])
-        batch = real_mrc(make_workload("swim", BATCH), BATCH, config,
+        batch = real_mrc(make_workload("swim", NATIVE), NATIVE, config,
                          sizes=[2, 8, 16])
         assert dict(scalar.mpki) == dict(batch.mpki)
 
@@ -255,7 +293,7 @@ class TestRunnerDifferential:
         config = OfflineConfig()
         args = ([0, 1, 2, 3], 30_000, 20_000, config)
         scalar = mpki_timeline(make_workload("art", MACHINE), MACHINE, *args)
-        batch = mpki_timeline(make_workload("art", BATCH), BATCH, *args)
+        batch = mpki_timeline(make_workload("art", NATIVE), NATIVE, *args)
         assert scalar == batch
 
     @pytest.mark.parametrize("prefetch", [True, False])
@@ -270,85 +308,9 @@ class TestRunnerDifferential:
 
         scalar = corun(specs(MACHINE), MACHINE, quota_accesses=10_000,
                        warmup_accesses=4_000, prefetch_enabled=prefetch)
-        batch = corun(specs(BATCH), BATCH, quota_accesses=10_000,
+        batch = corun(specs(NATIVE), NATIVE, quota_accesses=10_000,
                       warmup_accesses=4_000, prefetch_enabled=prefetch)
         assert dataclasses.asdict(scalar) == dataclasses.asdict(batch)
-
-
-# ---------------------------------------------------------------------------
-# The LRU slab kernel vs a brute-force reference
-# ---------------------------------------------------------------------------
-
-def _reference_lru(priming, events, num_sets, assoc):
-    """OrderedDict-free brute-force per-set LRU: the ground truth."""
-    buckets = [[] for _ in range(num_sets)]
-    for line in priming:
-        buckets[line % num_sets].append(line)
-    hits, victims = [], []
-    fills = evictions = 0
-    for line in events:
-        bucket = buckets[line % num_sets]
-        victim = -1
-        if line in bucket:
-            hits.append(True)
-            bucket.remove(line)
-        else:
-            hits.append(False)
-            fills += 1
-            if len(bucket) >= assoc:
-                victim = bucket.pop(0)
-                evictions += 1
-        bucket.append(line)
-        victims.append(victim)
-    state_lines, state_sets = [], []
-    for index, bucket in enumerate(buckets):
-        state_lines.extend(bucket)
-        state_sets.extend([index] * len(bucket))
-    return hits, (state_lines, state_sets), fills, evictions, victims
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    num_sets=st.sampled_from([1, 2, 4, 8]),
-    assoc=st.integers(min_value=1, max_value=5),
-    n_events=st.integers(min_value=0, max_value=120),
-    universe=st.integers(min_value=1, max_value=40),
-)
-def test_lru_slab_matches_bruteforce(seed, num_sets, assoc, n_events,
-                                     universe):
-    rng = random.Random(seed)
-    # Priming state: distinct lines, at most `assoc` per set.
-    per_set = [[] for _ in range(num_sets)]
-    for line in rng.sample(range(universe * 3), min(universe * 3, 4 * num_sets)):
-        bucket = per_set[line % num_sets]
-        if len(bucket) < min(assoc, rng.randint(0, assoc)):
-            bucket.append(line)
-    priming = [line for bucket in per_set for line in bucket]
-    prime_sets = [line % num_sets for line in priming]
-    events = [rng.randrange(universe) for _ in range(n_events)]
-
-    state = (
-        np.asarray(priming, dtype=np.int64),
-        np.asarray(prime_sets, dtype=np.int64),
-    )
-    ev = np.asarray(events, dtype=np.int64)
-    hits, new_state, fills, evictions, victims = _lru_slab(
-        state, ev, num_sets, assoc, want_victims=True
-    )
-    ref_hits, ref_state, ref_fills, ref_evictions, ref_victims = (
-        _reference_lru(priming, events, num_sets, assoc)
-    )
-    assert hits.tolist() == ref_hits
-    assert fills == ref_fills
-    assert evictions == ref_evictions
-    if victims is None:
-        # None is the documented "nothing evicted" shortcut.
-        assert all(victim == -1 for victim in ref_victims)
-    else:
-        assert victims.tolist() == ref_victims
-    assert new_state[0].tolist() == ref_state[0]
-    assert new_state[1].tolist() == ref_state[1]
 
 
 # ---------------------------------------------------------------------------

@@ -97,3 +97,21 @@ class TestVariants:
     def test_validation_rejects_page_not_multiple_of_line(self):
         with pytest.raises(ValueError):
             MachineConfig(page_size=100)
+
+
+class TestSimEngine:
+    def test_native_is_the_default(self):
+        assert MachineConfig().sim_engine == "native"
+        assert MachineConfig.scaled(16).sim_engine == "native"
+
+    def test_batch_is_a_deprecated_alias_of_native(self):
+        with pytest.warns(FutureWarning, match="deprecated"):
+            machine = MachineConfig(sim_engine="batch")
+        assert machine.sim_engine == "native"
+        with pytest.warns(FutureWarning):
+            assert MachineConfig().with_engine("batch") == MachineConfig()
+
+    def test_unknown_engine_rejected(self):
+        for name in ("kernel", "slab", "warp"):
+            with pytest.raises(ValueError, match="sim_engine"):
+                MachineConfig(sim_engine=name)

@@ -2,13 +2,13 @@
 
 The native engine (``repro.sim._native.c`` via ``repro.sim.native``) is
 an exact transliteration of the scalar hot path, so its contract is the
-same as the rest of :mod:`repro.sim.fastsim`: bit identity with the
-scalar driver on every covered configuration -- counters, cache
-residency in LRU order, float cycle clocks, the process RNG state, the
-PMU-visible event stream, and co-run interleavings.  These tests pin
-the pieces the pure-Python paths do not exercise: the CPython-exact
-MT19937, the chunk rollback protocol of observed runs, the
-negative-address bail-out into the Python paths, and the kill switch.
+same as ``drive_batch``'s: bit identity with the scalar driver on every
+configuration -- counters, cache residency in LRU order, float cycle
+clocks, the process RNG state, the PMU-visible event stream, and co-run
+interleavings.  These tests pin the pieces specific to the engine: the
+CPython-exact MT19937 (also behind the workloads' vectorized draws), the
+chunk rollback protocol of observed runs, the negative-address hand-off
+to the scalar loop, and the kill switch.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,13 +32,18 @@ from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
 from repro.sim.native import mt_fill, native_available
 from repro.sim.prefetcher import PrefetcherConfig
-from repro.workloads.base import AccessPattern, MemoryAccess, Workload
+from repro.workloads.base import (
+    AccessPattern,
+    MemoryAccess,
+    Workload,
+    draw_uniform,
+)
 from repro.workloads.spec import make_workload
 
-MACHINE = MachineConfig.scaled(32)
-BATCH = MACHINE.with_engine("batch")
+MACHINE = MachineConfig.scaled(32).with_engine("scalar")
+NATIVE = MACHINE.with_engine("native")
 
-pytestmark = pytest.mark.skipif(
+needs_native = pytest.mark.skipif(
     not native_available(), reason="no C compiler / native engine disabled"
 )
 
@@ -86,6 +92,7 @@ def _state(hierarchy, process):
 
 
 class TestMt19937Parity:
+    @needs_native
     def test_draws_and_state_continuation(self):
         rng = random.Random("prefetch/0/0")
         state0 = rng.getstate()
@@ -99,13 +106,36 @@ class TestMt19937Parity:
         assert more.tolist() == [clone.random() for _ in range(700)]
         assert more.tolist() == [rng.random() for _ in range(700)]
 
+    @pytest.mark.parametrize("native", [
+        pytest.param(True, marks=needs_native, id="native"),
+        pytest.param(False, id="REPRO_NATIVE=0"),
+    ])
+    def test_draw_uniform_matches_scalar_draws(self, native, monkeypatch):
+        """The workloads' vectorized draws equal ``rng.random()`` calls
+        and leave the RNG where those calls would, on either path."""
+        if not native:
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+        assert native_available() == native
+        rng = random.Random("workload/7")
+        reference = random.Random("workload/7")
+        for count in (0, 1, 623, 625, 2000):
+            draws = draw_uniform(rng, count)
+            assert draws.dtype == np.float64
+            assert draws.tolist() == [reference.random() for _ in range(count)]
+        # Scalar draws continue exactly where the batch left off.
+        assert [rng.random() for _ in range(50)] == [
+            reference.random() for _ in range(50)
+        ]
+        assert rng.getstate() == reference.getstate()
 
+
+@needs_native
 class TestNativeSoloIdentity:
     @pytest.mark.parametrize("name", ["mcf", "jbb", "swim"])
     def test_prefetch_on(self, name):
         hier_s, proc_s = _build(MACHINE, name, prefetch=True)
         drive(proc_s, hier_s, 30_000)
-        hier_b, proc_b = _build(BATCH, name, prefetch=True)
+        hier_b, proc_b = _build(NATIVE, name, prefetch=True)
         assert native_eligible(proc_b, hier_b)
         drive_batch(proc_b, hier_b, 30_000)
         assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
@@ -114,7 +144,7 @@ class TestNativeSoloIdentity:
         hier_s, proc_s = _build(MACHINE, "art", prefetch=True,
                                 colors=[0, 1, 2])
         drive(proc_s, hier_s, 20_000)
-        hier_b, proc_b = _build(BATCH, "art", prefetch=True,
+        hier_b, proc_b = _build(NATIVE, "art", prefetch=True,
                                 colors=[0, 1, 2])
         drive_batch(proc_b, hier_b, 20_000)
         assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
@@ -123,7 +153,7 @@ class TestNativeSoloIdentity:
         """Native chunks and scalar step() share one gapless stream."""
         hier_s, proc_s = _build(MACHINE, "twolf", prefetch=True)
         drive(proc_s, hier_s, 9_000)
-        hier_b, proc_b = _build(BATCH, "twolf", prefetch=True)
+        hier_b, proc_b = _build(NATIVE, "twolf", prefetch=True)
         drive_batch(proc_b, hier_b, 2_500)
         for _ in range(500):
             proc_b.step(hier_b)
@@ -178,9 +208,10 @@ class _NegativePattern(AccessPattern):
         return 2 * 65536
 
 
+@needs_native
 class TestMixedEngineContinuity:
     def test_negative_vaddr_falls_through_bit_identically(self):
-        """A chunk the C engine refuses lands on the slab path with no
+        """A chunk the C engine refuses lands on the scalar loop with no
         gap: the combined run still equals the scalar run exactly."""
         def build(machine):
             workload = Workload("neg", _NegativePattern(), seed=3)
@@ -195,17 +226,20 @@ class TestMixedEngineContinuity:
         hier_s, proc_s = build(MACHINE)
         drive(proc_s, hier_s, 5_000)
         telemetry = Telemetry.in_memory()
-        hier_b, proc_b = build(BATCH)
+        hier_b, proc_b = build(NATIVE)
         with use_telemetry(telemetry):
-            executed = drive_batch(proc_b, hier_b, 5_000, slab_size=512)
+            executed = drive_batch(proc_b, hier_b, 5_000, slab_size=16)
         assert executed == 5_000
         assert _state(hier_s, proc_s) == _state(hier_b, proc_b)
-        # The native engine took the first (positive) chunk, the slab
-        # loop the rest; both halves are accounted under one drive.
+        # The stream stays non-negative for its first 33 accesses: the
+        # native engine took the first two 16-access chunks and the
+        # scalar loop everything from the third chunk on.
         report = RunReport.from_telemetry(telemetry)
         by_engine = report.counter_by_label("sim.batch_accesses", "engine")
-        assert by_engine == {"native": 5_000}
-        assert report.counter_total("sim.batch_fallbacks") == 0
+        assert by_engine == {"native": 32}
+        assert report.counter_by_label(
+            "sim.batch_fallbacks", "reason"
+        ) == {"vaddr": 1}
 
     def test_corun_negative_vaddr_fallback(self):
         def specs(machine):
@@ -217,13 +251,21 @@ class TestMixedEngineContinuity:
 
         scalar = corun(specs(MACHINE), MACHINE, 6_000,
                        warmup_accesses=1_000)
-        batch = corun(specs(BATCH), BATCH, 6_000, warmup_accesses=1_000)
+        telemetry = Telemetry.in_memory()
+        with use_telemetry(telemetry):
+            batch = corun(specs(NATIVE), NATIVE, 6_000,
+                          warmup_accesses=1_000)
+        report = RunReport.from_telemetry(telemetry)
+        assert report.counter_by_label(
+            "sim.batch_fallbacks", "reason"
+        ) == {"vaddr": 1}
         assert scalar.ipc == batch.ipc
         assert scalar.mpki == batch.mpki
         assert scalar.instructions == batch.instructions
         assert scalar.accesses == batch.accesses
 
 
+@needs_native
 class TestObservedRollback:
     @pytest.mark.parametrize("log_capacity", [1, 7, 333])
     def test_stop_mid_chunk_rewinds_exactly(self, log_capacity):
@@ -240,7 +282,7 @@ class TestObservedRollback:
             return executed, collector, _state(hierarchy, process)
 
         executed_s, coll_s, state_s = run(MACHINE, drive)
-        executed_b, coll_b, state_b = run(BATCH, drive_batch)
+        executed_b, coll_b, state_b = run(NATIVE, drive_batch)
         assert executed_s == executed_b
         assert coll_s.log.entries() == coll_b.log.entries()
         assert coll_s.exceptions == coll_b.exceptions
@@ -258,58 +300,72 @@ class TestObservedRollback:
             return collector, _state(hierarchy, process)
 
         coll_s, state_s = run(MACHINE, drive)
-        coll_b, state_b = run(BATCH, drive_batch)
+        coll_b, state_b = run(NATIVE, drive_batch)
         assert coll_s.log.entries() == coll_b.log.entries()
         assert coll_s.l1d_misses == coll_b.l1d_misses
         assert state_s == state_b
 
-    def test_opaque_stop_stays_on_slab_path(self):
+    def test_opaque_stop_falls_back_to_scalar(self):
         """A plain lambda cannot be reasoned about: the drive must not
-        run ahead of it (engine label says slab, results still exact)."""
-        telemetry = Telemetry.in_memory()
-        hierarchy, process = _build(BATCH, "mcf", prefetch=True)
-        seen = []
-        with use_telemetry(telemetry):
-            drive_batch(
+        run ahead of it, so it runs on the scalar loop, results exact."""
+        def run(machine, driver):
+            hierarchy, process = _build(machine, "mcf", prefetch=True)
+            calls = []
+            executed = driver(
                 process, hierarchy, 3_000,
-                observer=None, stop=lambda: len(seen) >= 0 and False,
+                stop=lambda: calls.append(None) or len(calls) >= 2_500,
             )
+            return executed, len(calls), _state(hierarchy, process)
+
+        scalar = run(MACHINE, drive)
+        telemetry = Telemetry.in_memory()
+        with use_telemetry(telemetry):
+            native = run(NATIVE, drive_batch)
+        assert native == scalar
+        assert native[0] == 2_500
         report = RunReport.from_telemetry(telemetry)
-        by_engine = report.counter_by_label("sim.batch_accesses", "engine")
-        assert by_engine == {"slab": 3_000}
+        assert report.counter_total("sim.batch_accesses") == 0
+        assert report.counter_by_label(
+            "sim.batch_fallbacks", "reason"
+        ) == {"observer": 1}
 
 
+@needs_native
 class TestKillSwitch:
     def test_repro_native_0_disables_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         assert not native_available()
-        hierarchy, process = _build(BATCH, "jbb", prefetch=False)
+        hierarchy, process = _build(NATIVE, "jbb", prefetch=False)
         assert not native_eligible(process, hierarchy)
         telemetry = Telemetry.in_memory()
         with use_telemetry(telemetry):
             drive_batch(process, hierarchy, 2_000)
+        assert process.accesses == 2_000
         report = RunReport.from_telemetry(telemetry)
-        by_engine = report.counter_by_label("sim.batch_accesses", "engine")
-        assert by_engine == {"kernel": 2_000}
+        assert report.counter_total("sim.batch_accesses") == 0
+        assert report.counter_by_label(
+            "sim.batch_fallbacks", "reason"
+        ) == {"unavailable": 1}
         monkeypatch.delenv("REPRO_NATIVE")
         assert native_available()
 
 
+@needs_native
 class TestPooledTelemetryParity:
     def test_real_mrc_pooled_counters_equal_sequential(self):
         """Satellite regression: folded batched-drive counters from a
         pooled offline curve equal the sequential run's, and throughput
         is derived from them (no per-worker gauge survives)."""
-        workload = make_workload("jbb", BATCH)
+        workload = make_workload("jbb", NATIVE)
         config = OfflineConfig()
         sizes = [1, 2, 3, 4]
 
         seq_telemetry = Telemetry.in_memory()
         with use_telemetry(seq_telemetry):
-            seq = real_mrc(workload, BATCH, config, sizes=sizes)
+            seq = real_mrc(workload, NATIVE, config, sizes=sizes)
         pool_telemetry = Telemetry.in_memory()
         with use_telemetry(pool_telemetry):
-            pooled = real_mrc(workload, BATCH, config, sizes=sizes,
+            pooled = real_mrc(workload, NATIVE, config, sizes=sizes,
                               max_workers=2)
 
         assert dict(seq) == dict(pooled)

@@ -130,6 +130,31 @@ class TestPersistence:
         assert entry.stack_hit_rate == pytest.approx(0.9)
         assert entry.trace_length == 4800
 
+    def test_save_crash_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "store.json")
+        store = MRCStore()
+        store.put(sig(10), curve(40.0))
+        store.put(sig(20), curve(80.0))
+        store.save(path)
+
+        def crash_mid_dump(payload, out, **kwargs):
+            out.write(json.dumps(payload, **kwargs)[:40])
+            out.flush()
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.store.mrc_store.json.dump", crash_mid_dump)
+        newer = MRCStore()
+        newer.put(sig(30), curve(20.0))
+        with pytest.raises(OSError, match="disk full"):
+            newer.save(path)
+        monkeypatch.undo()
+
+        loaded = MRCStore.load(path)
+        assert len(loaded) == 2
+        assert loaded.get(sig(10)).mrc == curve(40.0)
+        assert loaded.get(sig(20)).mrc == curve(80.0)
+        assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
+
     def test_load_resets_entry_ages(self, tmp_path):
         path = str(tmp_path / "store.json")
         store = MRCStore(StoreConfig(ttl_instructions=1000))
