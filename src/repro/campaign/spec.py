@@ -49,9 +49,7 @@ class MachineSpec:
     def __post_init__(self) -> None:
         if self.scale < 1:
             raise ValueError(f"machine scale must be >= 1, got {self.scale!r}")
-        object.__setattr__(
-            self, "sim_engine", resolve_sim_engine(self.sim_engine)
-        )
+        resolve_sim_engine(self.sim_engine)
 
     @property
     def ident(self) -> str:

@@ -30,10 +30,6 @@ from repro.workloads import WORKLOAD_NAMES, make_workload
 
 __all__ = ["main"]
 
-#: ``--sim-engine`` values; ``batch`` is the deprecated alias of ``native``.
-SIM_ENGINE_CHOICES = [*SIM_ENGINES, "batch"]
-
-
 def _machine(args: argparse.Namespace) -> MachineConfig:
     machine = (
         MachineConfig.scaled(args.scale) if args.scale > 1 else MachineConfig()
@@ -213,12 +209,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("no samples to analyze", file=sys.stderr)
         return 1
     instructions = args.instructions or 48 * len(trace)
-    # analyze has no hierarchy to simulate: the deprecated --sim-engine
-    # batch means the batch stack-distance engine, exactly what --fast
-    # selects.
-    use_batch = args.fast or args.sim_engine == "batch"
     probe_config = (
-        ProbeConfig(stack_engine="batch") if use_batch else ProbeConfig()
+        ProbeConfig(stack_engine="batch") if args.fast else ProbeConfig()
     )
     engine = RapidMRC(machine, probe_config)
     result = engine.compute(trace, instructions, label=args.trace)
@@ -595,10 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 0.1)",
     )
     probe.add_argument(
-        "--sim-engine", choices=SIM_ENGINE_CHOICES, default=None,
+        "--sim-engine", choices=SIM_ENGINES, default=None,
         help="hierarchy simulation engine for the probe and --real runs: "
-             "'native' (default; compiled, bit-identical to 'scalar'); "
-             "'batch' is a deprecated alias of 'native'",
+             "'native' (default; compiled, bit-identical to 'scalar')",
     )
     probe.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -629,10 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute each MRC with the vectorized batch engine",
     )
     part.add_argument(
-        "--sim-engine", choices=SIM_ENGINE_CHOICES, default=None,
+        "--sim-engine", choices=SIM_ENGINES, default=None,
         help="hierarchy simulation engine for both probes and the "
-             "real-MRC runs (default 'native'; 'batch' is a deprecated "
-             "alias of 'native')",
+             "real-MRC runs (default 'native')",
     )
     part.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -680,11 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--fast", action="store_true",
         help="load and analyze the trace with the vectorized batch engine",
-    )
-    analyze.add_argument(
-        "--sim-engine", choices=["scalar", "batch"], default=None,
-        help="deprecated: analyze simulates no hierarchy; 'batch' is an "
-             "alias of --fast",
     )
     analyze.add_argument(
         "--telemetry", metavar="PATH", default=None,

@@ -18,19 +18,20 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.runner.driver import Process
 from repro.sim.cpu import IssueMode
 from repro.sim.fastsim import NativeCorun, count_fallback, fallback_reason
-from repro.sim.hierarchy import MemoryHierarchy
+from repro.sim.hierarchy import AccessResult, MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
 from repro.sim.prefetcher import PrefetcherConfig
 from repro.workloads.base import Workload
 
-__all__ = ["CorunSpec", "CorunResult", "corun", "normalized_ipc"]
+__all__ = [
+    "CorunScheduler", "CorunSpec", "CorunResult", "corun", "normalized_ipc",
+]
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,109 @@ class CorunResult:
 
     def ipc_of(self, index: int) -> float:
         return self.ipc[index]
+
+
+class CorunScheduler:
+    """The one cycle-fair interleave of time-shared processes.
+
+    Every step executes the process least far along in virtual time --
+    the lowest ``(cycles, index)`` key, so equal clocks step the lowest
+    index.  :func:`corun` and the dynamic manager (and through it the
+    fleet service) drive their processes through this object.
+
+    The engine is chosen once.  A ``sim_engine="native"`` machine whose
+    every process the compiled engine covers runs unhooked legs inside
+    one C call (:class:`~repro.sim.fastsim.NativeCorun`); anything else
+    runs the scalar heap, with the fallback reason counted as
+    ``sim.batch_fallbacks{reason}``.  Both orders are bit-identical.
+    """
+
+    def __init__(self, processes: Sequence[Process],
+                 hierarchy: MemoryHierarchy):
+        self.processes = list(processes)
+        self.hierarchy = hierarchy
+        self._native = False
+        self._native_runner: Optional[NativeCorun] = None
+        self._cycle_base: Optional[List[float]] = None
+        if hierarchy.machine.sim_engine == "native":
+            reasons = (fallback_reason(p, hierarchy) for p in self.processes)
+            reason = next(filter(None, reasons), None)
+            if reason is None:
+                self._native = True
+            else:
+                count_fallback(reason)
+
+    @property
+    def in_window(self) -> bool:
+        """True once :meth:`start_window` opened a measurement window."""
+        return self._cycle_base is not None
+
+    def run_until(
+        self,
+        target_extra: int,
+        on_step: Optional[Callable[[int, AccessResult], None]] = None,
+    ) -> None:
+        """Interleave until one process executes ``target_extra`` more
+        accesses than it had when this call began.
+
+        ``on_step(index, result)`` runs after every access, before the
+        quota check; the stepped process re-enters the schedule at its
+        post-hook clock, so cycles the hook charges (PMU exceptions,
+        page migrations) delay its next turn.  A hooked leg always runs
+        the scalar heap: the engine cannot run ahead of Python hooks.
+        """
+        start = [p.accesses for p in self.processes]
+        if self._native and on_step is not None:
+            count_fallback("observer")
+        elif self._native:
+            if self._native_runner is None:
+                self._native_runner = NativeCorun(
+                    self.processes, self.hierarchy
+                )
+            if self._native_runner.run_until(start, target_extra):
+                return
+            # A chunk the native engine cannot simulate: its state is
+            # committed and no process has reached its quota yet, so the
+            # scalar heap below continues the leg access-exactly.  Stay
+            # off the native path from here on.
+            self._native = False
+            count_fallback("vaddr")
+        processes = self.processes
+        hierarchy = self.hierarchy
+        steps = [p.step for p in processes]
+        heap: List[Tuple[float, int]] = [
+            (p.cycles, i) for i, p in enumerate(processes)
+        ]
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        while True:
+            _cycles, index = pop(heap)
+            process = processes[index]
+            result = steps[index](hierarchy)
+            if on_step is not None:
+                on_step(index, result)
+            if process.accesses - start[index] >= target_extra:
+                return
+            push(heap, (process.cycles, index))
+
+    def start_window(self) -> None:
+        """Open the measurement window: zero the hierarchy counters and
+        process metrics, and snapshot the cycle clocks.
+
+        Clocks are *not* reset -- fairness carries over from warmup --
+        so :meth:`ipc` measures cycles from here.
+        """
+        self.hierarchy.reset_counters()
+        for process in self.processes:
+            process.reset_metrics()
+        self._cycle_base = [p.cycles for p in self.processes]
+
+    def ipc(self) -> List[float]:
+        """Per-process instructions over cycles since :meth:`start_window`."""
+        return [
+            p.instructions / (p.cycles - base) if p.cycles > base else 0.0
+            for base, p in zip(self._cycle_base, self.processes)
+        ]
 
 
 def corun(
@@ -102,73 +206,15 @@ def corun(
                 seed_offset=spec.seed_offset,
             )
         )
-
-    steps = [partial(p.step, hierarchy) for p in processes]
-    native_runner = None
-    if machine.sim_engine == "native":
-        reasons = (fallback_reason(p, hierarchy) for p in processes)
-        reason = next(filter(None, reasons), None)
-        if reason is None:
-            # The whole interleave runs inside one C call; the scalar
-            # steps below stay armed for streams the native engine
-            # cannot take (negative vaddrs).
-            native_runner = NativeCorun(processes, hierarchy)
-        else:
-            count_fallback(reason)
-
-    def run_until(target_extra: int) -> None:
-        """Advance processes clock-fairly until one executes target_extra
-        more accesses than it had when this call began."""
-        nonlocal native_runner
-        start = [p.accesses for p in processes]
-        if native_runner is not None:
-            if native_runner.run_until(start, target_extra):
-                return
-            # A chunk the native engine cannot simulate: its state is
-            # committed and no process has reached its quota yet, so the
-            # scalar heap below continues the leg access-exactly.  Stay
-            # off the native path for the rest of this co-run.
-            native_runner = None
-            count_fallback("vaddr")
-        # Min-heap on (cycles, index): always step the least-advanced
-        # process in virtual time.
-        heap: List[Tuple[float, int]] = [
-            (p.cycles, i) for i, p in enumerate(processes)
-        ]
-        heapq.heapify(heap)
-        while heap:
-            _cycles, index = heapq.heappop(heap)
-            process = processes[index]
-            steps[index]()
-            if process.accesses - start[index] >= target_extra:
-                return
-            heapq.heappush(heap, (process.cycles, index))
-
+    scheduler = CorunScheduler(processes, hierarchy)
     if warmup_accesses > 0:
-        run_until(warmup_accesses)
-        hierarchy.reset_counters()
-        for process in processes:
-            process.reset_metrics()
-        # Cycle clocks are *not* reset: fairness carries over; but IPC
-        # accounting below uses deltas.
-        cycle_base = [p.cycles for p in processes]
-    else:
-        cycle_base = [0.0] * len(processes)
-
-    run_until(quota_accesses)
-
-    ipc: List[float] = []
-    mpki: List[float] = []
-    for index, process in enumerate(processes):
-        window_cycles = process.cycles - cycle_base[index]
-        ipc.append(
-            process.instructions / window_cycles if window_cycles > 0 else 0.0
-        )
-        mpki.append(hierarchy.counters[index].mpki())
+        scheduler.run_until(warmup_accesses)
+    scheduler.start_window()
+    scheduler.run_until(quota_accesses)
     return CorunResult(
         names=[spec.workload.name for spec in specs],
-        ipc=ipc,
-        mpki=mpki,
+        ipc=scheduler.ipc(),
+        mpki=[hierarchy.counters[i].mpki() for i in range(len(processes))],
         instructions=[p.instructions for p in processes],
         accesses=[p.accesses for p in processes],
     )

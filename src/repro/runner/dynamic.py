@@ -37,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import heapq
-
 from repro.core.analytic import AnalyticConfig, AnalyticMRCBank
 from repro.core.estimators import is_estimator
 from repro.core.mrc import MissRateCurve
@@ -58,6 +56,7 @@ from repro.reliability.supervisor import (
 )
 from repro.store.mrc_store import MRCStore, StoreConfig
 from repro.store.signature import PhaseSignature, signature_of
+from repro.runner.corun import CorunScheduler
 from repro.runner.driver import Process
 from repro.sim.cpu import IssueMode
 from repro.sim.hierarchy import MemoryHierarchy
@@ -400,19 +399,15 @@ class DynamicPartitionManager:
         self.decisions: List[DecisionRecord] = []
         self.probe_gate: Optional[Callable[[int, int], bool]] = None
         self.probe_listener: Optional[Callable[[ProbeOutcome], None]] = None
-        self._cycle_base: Optional[List[float]] = None
 
         # Start from an even split -- the uninformed default.
-        even = machine.num_colors // len(workloads)
-        extra = machine.num_colors - even * len(workloads)
-        self.current_colors: List[Tuple[int, ...]] = []
-        cursor = 0
+        self.current_colors = self._materialize(
+            self._uniform_counts(len(workloads))
+        )
         self.managed: List[_Managed] = []
-        for index, workload in enumerate(workloads):
-            count = even + (1 if index < extra else 0)
-            colors = tuple(range(cursor, cursor + count))
-            cursor += count
-            self.current_colors.append(colors)
+        for index, (workload, colors) in enumerate(
+            zip(workloads, self.current_colors)
+        ):
             process = Process(
                 pid=index,
                 workload=workload,
@@ -429,6 +424,9 @@ class DynamicPartitionManager:
             ))
             if config.initial_probe:
                 self.managed[index].needs_probe = True
+        self.scheduler = CorunScheduler(
+            [m.process for m in self.managed], self.hierarchy
+        )
 
     # -- the loop -------------------------------------------------------------
 
@@ -445,11 +443,8 @@ class DynamicPartitionManager:
     def begin(self, warmup_accesses: int = 0) -> None:
         """Warm up and arm the loop for incremental :meth:`step_accesses`."""
         if warmup_accesses > 0:
-            self._advance(warmup_accesses, managed_hooks=False)
-            self.hierarchy.reset_counters()
-            for managed in self.managed:
-                managed.process.reset_metrics()
-        self._cycle_base = [m.process.cycles for m in self.managed]
+            self.scheduler.run_until(warmup_accesses)
+        self.scheduler.start_window()
 
     def step_accesses(self, target_extra: int) -> None:
         """Advance until one process gains ``target_extra`` accesses.
@@ -458,28 +453,22 @@ class DynamicPartitionManager:
         probes, intervals, and decisions carry over across calls, so an
         outer event loop can interleave slices of many managers.
         """
-        if self._cycle_base is None:
+        if not self.scheduler.in_window:
             raise RuntimeError("step_accesses before begin()")
         if target_extra <= 0:
             raise ValueError("target_extra must be positive")
-        self._advance(target_extra, managed_hooks=True)
+        self.scheduler.run_until(target_extra, on_step=self._observe)
 
     def finish(self) -> DynamicReport:
         """Flush telemetry and build the report for the stepped span."""
-        if self._cycle_base is None:
+        if not self.scheduler.in_window:
             raise RuntimeError("finish before begin()")
         # Residue the interval harvests never saw (the final partial
         # interval) still reaches the registry.
         self.hierarchy.publish_telemetry()
-        ipc = []
-        for base, managed in zip(self._cycle_base, self.managed):
-            window = managed.process.cycles - base
-            ipc.append(
-                managed.process.instructions / window if window > 0 else 0.0
-            )
         return DynamicReport(
             names=[m.process.workload.name for m in self.managed],
-            ipc=ipc,
+            ipc=self.scheduler.ipc(),
             final_colors=list(self.current_colors),
             events=list(self.events),
             mpki_timelines=[m.timeline for m in self.managed],
@@ -521,25 +510,11 @@ class DynamicPartitionManager:
         if self.drift_monitor is not None:
             self.drift_monitor.note_fresh_curve(index)
 
-    def _advance(self, target_extra: int, managed_hooks: bool) -> None:
-        start = [m.process.accesses for m in self.managed]
-        heap: List[Tuple[float, int]] = [
-            (m.process.cycles, i) for i, m in enumerate(self.managed)
-        ]
-        heapq.heapify(heap)
-        while heap:
-            _cycles, index = heapq.heappop(heap)
-            managed = self.managed[index]
-            result = managed.process.step(self.hierarchy)
-            if managed_hooks:
-                self._observe(index, managed, result)
-            if managed.process.accesses - start[index] >= target_extra:
-                return
-            heapq.heappush(heap, (managed.process.cycles, index))
-
     # -- monitoring / probing --------------------------------------------------
 
-    def _observe(self, index: int, managed: _Managed, result) -> None:
+    def _observe(self, index: int, result) -> None:
+        """The scheduler's per-access hook for process ``index``."""
+        managed = self.managed[index]
         ipa = managed.process.workload.instructions_per_access
         managed.interval_instructions_seen += ipa
 
@@ -685,29 +660,16 @@ class DynamicPartitionManager:
             if managed.collector is not None:
                 # Section 5.2.2: a probe spanning a phase boundary mixes
                 # two working sets -- discard it and reprobe.
-                consumed = (
-                    managed.process.accesses - managed.probe_accesses_start
+                reason = "phase transition mid-probe"
+                self._settle_failed_probe(
+                    index, managed, "invalidated",
+                    counter="dynamic.probes_invalidated",
+                    report=lambda: self.supervisor.report_invalidated(
+                        index, reason=reason
+                    ),
+                    event_detail="invalidated by phase transition",
+                    outcome_detail=reason,
                 )
-                managed.collector = None
-                telemetry.tracer.end(managed.probe_span, status="invalidated")
-                managed.probe_span = None
-                telemetry.registry.counter(
-                    "dynamic.probes_invalidated", **self._labels(pid=index)
-                ).inc()
-                self.supervisor.report_invalidated(
-                    index, reason="phase transition mid-probe"
-                )
-                self.events.append(ManagerEvent(
-                    kind="probe-rejected", pid=index,
-                    instructions=self._global_instructions(),
-                    detail="invalidated by phase transition",
-                ))
-                self._notify(ProbeOutcome(
-                    "invalidated", index,
-                    accesses=self._scaled_cost(managed, consumed),
-                    detail="phase transition mid-probe",
-                ))
-                self._handle_probe_failure(index, managed)
         if managed.detector.in_transition:
             # This interval's sample straddles (or ramps through) a
             # phase boundary; keep the fingerprint window ahead of it so
@@ -887,21 +849,53 @@ class DynamicPartitionManager:
     def _abort_probe(self, index: int, managed: _Managed,
                      probe_accesses: int) -> None:
         """Deadline expiry: the log never filled within the access budget."""
+        self._settle_failed_probe(
+            index, managed, "deadline",
+            counter="dynamic.probe_deadlines",
+            report=lambda: self.supervisor.report_deadline(
+                index, probe_accesses
+            ),
+            event_kind="probe-deadline",
+            event_detail=f"log unfilled after {probe_accesses} accesses",
+            outcome_detail="log unfilled",
+        )
+
+    def _settle_failed_probe(
+        self,
+        index: int,
+        managed: _Managed,
+        status: str,
+        event_detail: str,
+        outcome_detail: Optional[str] = None,
+        counter: Optional[str] = None,
+        report: Optional[Callable[[], None]] = None,
+        event_kind: str = "probe-rejected",
+    ) -> None:
+        """End a probe that produced no admitted curve.
+
+        Drops the collector, closes the probe span with ``status``,
+        bumps ``counter``, runs the supervisor ``report``, logs the
+        event, notifies the ``status`` outcome (detail defaults to the
+        event's) with the accesses the probe consumed, then applies the
+        retry/degrade policy.
+        """
+        consumed = managed.process.accesses - managed.probe_accesses_start
         managed.collector = None
         telemetry = get_telemetry()
-        telemetry.tracer.end(managed.probe_span, status="deadline")
+        telemetry.tracer.end(managed.probe_span, status=status)
         managed.probe_span = None
-        telemetry.registry.counter("dynamic.probe_deadlines", **self._labels(pid=index)).inc()
-        self.supervisor.report_deadline(index, probe_accesses)
+        if counter is not None:
+            telemetry.registry.counter(counter, **self._labels(pid=index)).inc()
+        if report is not None:
+            report()
         self.events.append(ManagerEvent(
-            kind="probe-deadline", pid=index,
-            instructions=self._global_instructions(),
-            detail=f"log unfilled after {probe_accesses} accesses",
+            kind=event_kind, pid=index,
+            instructions=self._global_instructions(), detail=event_detail,
         ))
         self._notify(ProbeOutcome(
-            "deadline", index,
-            accesses=self._scaled_cost(managed, probe_accesses),
-            detail="log unfilled",
+            status, index,
+            accesses=self._scaled_cost(managed, consumed),
+            detail=event_detail if outcome_detail is None else outcome_detail,
         ))
         self._handle_probe_failure(index, managed)
 
@@ -997,19 +991,9 @@ class DynamicPartitionManager:
             self._redecide()
             return
 
-        telemetry.tracer.end(managed.probe_span, status="rejected")
-        managed.probe_span = None
-        self.events.append(ManagerEvent(
-            kind="probe-rejected", pid=index,
-            instructions=self._global_instructions(),
-            detail=quality.describe(),
-        ))
-        self._notify(ProbeOutcome(
-            "rejected", index,
-            accesses=self._scaled_cost(managed, consumed),
-            detail=quality.describe(),
-        ))
-        self._handle_probe_failure(index, managed)
+        self._settle_failed_probe(
+            index, managed, "rejected", event_detail=quality.describe()
+        )
 
     def _downshifted_engine(self, engine_name: str) -> RapidMRC:
         """The budget-downshift RapidMRC engine (built once, cached)."""
@@ -1107,22 +1091,14 @@ class DynamicPartitionManager:
         managed = self.managed[index]
         if managed.collector is None:
             return False
-        consumed = managed.process.accesses - managed.probe_accesses_start
-        managed.collector = None
-        telemetry = get_telemetry()
-        telemetry.tracer.end(managed.probe_span, status="aborted")
-        managed.probe_span = None
-        telemetry.registry.counter("dynamic.probes_aborted", **self._labels(pid=index)).inc()
-        self.supervisor.report_invalidated(index, reason=reason)
-        self.events.append(ManagerEvent(
-            kind="probe-rejected", pid=index,
-            instructions=self._global_instructions(), detail=reason,
-        ))
-        self._notify(ProbeOutcome(
-            "aborted", index,
-            accesses=self._scaled_cost(managed, consumed), detail=reason,
-        ))
-        self._handle_probe_failure(index, managed)
+        self._settle_failed_probe(
+            index, managed, "aborted",
+            counter="dynamic.probes_aborted",
+            report=lambda: self.supervisor.report_invalidated(
+                index, reason=reason
+            ),
+            event_detail=reason,
+        )
         return True
 
     def request_probe(self, index: int, reason: str = "") -> None:
@@ -1171,7 +1147,9 @@ class DynamicPartitionManager:
             # rather than size partitions around a hole.
             self.degraded_decisions += 1
             with telemetry.tracer.span("partition_decision", mode="uniform"):
-                new_colors = self._materialize(self._uniform_counts())
+                new_colors = self._materialize(
+                    self._uniform_counts(len(self.managed))
+                )
             telemetry.registry.counter(
                 "dynamic.decisions", **self._labels(mode="uniform")
             ).inc()
@@ -1224,12 +1202,12 @@ class DynamicPartitionManager:
             detail=detail,
         ))
 
-    def _uniform_counts(self) -> List[int]:
-        even = self.machine.num_colors // len(self.managed)
-        extra = self.machine.num_colors - even * len(self.managed)
+    def _uniform_counts(self, num_processes: int) -> List[int]:
+        """The even split of the colors, remainder to the lowest pids."""
+        even, extra = divmod(self.machine.num_colors, num_processes)
         return [
             even + (1 if index < extra else 0)
-            for index in range(len(self.managed))
+            for index in range(num_processes)
         ]
 
     def _materialize(self, counts: Sequence[int]) -> List[Tuple[int, ...]]:

@@ -20,8 +20,9 @@ instead, counted as ``sim.batch_fallbacks{reason=...}``:
     the engine's fixed bounds;
 ``observer``
     an observer that is not a trace collector (no ``observe_events``),
-    or a stop predicate other than a :class:`CollectorStop` over that
-    collector -- the engine cannot run ahead of an opaque predicate;
+    a stop predicate other than a :class:`CollectorStop` over that
+    collector, or a co-run leg with a per-access hook (the dynamic
+    manager's monitor) -- the engine cannot run ahead of Python code;
 ``vaddr``
     a chunk holding negative virtual addresses (C's truncating division
     would diverge from Python's floor division).
@@ -337,8 +338,8 @@ def _run_native(process, hierarchy, num_accesses, events_fn, stop, source,
 class NativeCorun:
     """Compiled co-run scheduler: all cores interleave inside one C call.
 
-    Replaces the per-access heap loop of ``runner.corun``'s quota legs
-    with :func:`repro_corun`, which repeatedly steps the process with
+    Runs the unhooked legs of :class:`repro.runner.corun.CorunScheduler`
+    in :func:`repro_corun`, which repeatedly steps the process with
     the lowest (cycles, index) key -- the exact argmin order the heap
     produces -- until some process completes its quota.  Legs commit on
     return, so warmup resets and scalar interleaving see live state.

@@ -13,7 +13,6 @@ working: a page must not span more L2 sets than one color owns.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 __all__ = ["MachineConfig", "SIM_ENGINES", "resolve_sim_engine"]
@@ -23,14 +22,7 @@ SIM_ENGINES = ("scalar", "native")
 
 
 def resolve_sim_engine(name: str) -> str:
-    """Validate a ``sim_engine`` value, mapping the deprecated ``"batch"``
-    alias to ``"native"`` (with a :class:`FutureWarning`)."""
-    if name == "batch":
-        warnings.warn(
-            "sim_engine 'batch' is deprecated; use 'native'",
-            FutureWarning, stacklevel=2,
-        )
-        return "native"
+    """Validate a ``sim_engine`` value (one of :data:`SIM_ENGINES`)."""
     if name not in SIM_ENGINES:
         raise ValueError(
             f"unknown sim_engine {name!r}; options: 'scalar', 'native'"
@@ -80,9 +72,7 @@ class MachineConfig:
     sim_engine: str = "native"
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "sim_engine", resolve_sim_engine(self.sim_engine)
-        )
+        resolve_sim_engine(self.sim_engine)
         for attr in ("l1i", "l1d", "l2"):
             size = getattr(self, f"{attr}_size")
             assoc = getattr(self, f"{attr}_assoc")

@@ -59,12 +59,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="sim_engine"):
             MachineSpec(sim_engine="warp")
 
-    def test_batch_machine_engine_reads_as_native(self):
-        with pytest.warns(FutureWarning, match="deprecated"):
-            spec = MachineSpec.from_dict({"scale": 32, "sim_engine": "batch"})
-        assert spec.sim_engine == "native"
-        assert spec.ident == "s32-native"
-        assert spec.build().sim_engine == "native"
+    def test_batch_machine_engine_rejected(self):
+        with pytest.raises(ValueError, match="sim_engine"):
+            MachineSpec.from_dict({"scale": 32, "sim_engine": "batch"})
 
     def test_trace_target_needs_path(self):
         with pytest.raises(ValueError, match="path"):

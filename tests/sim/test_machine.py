@@ -104,12 +104,11 @@ class TestSimEngine:
         assert MachineConfig().sim_engine == "native"
         assert MachineConfig.scaled(16).sim_engine == "native"
 
-    def test_batch_is_a_deprecated_alias_of_native(self):
-        with pytest.warns(FutureWarning, match="deprecated"):
-            machine = MachineConfig(sim_engine="batch")
-        assert machine.sim_engine == "native"
-        with pytest.warns(FutureWarning):
-            assert MachineConfig().with_engine("batch") == MachineConfig()
+    def test_batch_alias_rejected(self):
+        with pytest.raises(ValueError, match="sim_engine"):
+            MachineConfig(sim_engine="batch")
+        with pytest.raises(ValueError, match="sim_engine"):
+            MachineConfig().with_engine("batch")
 
     def test_unknown_engine_rejected(self):
         for name in ("kernel", "slab", "warp"):

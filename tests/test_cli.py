@@ -124,31 +124,24 @@ class TestFastPath:
         # Identical curves, identical rendering: bit-identical fast path.
         assert fast_out == scalar_out
 
-    def test_sim_engine_values(self, capsys, tmp_path):
-        """``native`` and ``scalar`` probes agree; the deprecated
-        ``batch`` still parses, and on analyze still means --fast."""
+    def test_sim_engine_values(self, capsys):
+        """``native`` and ``scalar`` probes agree; ``batch`` is no
+        engine, and analyze (which simulates nothing) takes no
+        ``--sim-engine`` at all."""
         outs = []
         for engine in ("native", "scalar"):
             assert main(["--scale", "32", "probe", "crafty", "--fast",
                          "--sim-engine", engine]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0].replace("native engine", "scalar engine") == outs[1]
-        args = build_parser().parse_args(
-            ["partition", "mcf", "art", "--sim-engine", "batch"]
-        )
-        assert args.sim_engine == "batch"
-
-        from repro.io.tracefile import save_trace
-
-        path = str(tmp_path / "trace.txt")
-        save_trace(path, list(range(100)) * 30)
-        assert main(["--scale", "32", "analyze", path, "--format", "native",
-                     "--fast"]) == 0
-        fast_out = capsys.readouterr().out
-        with pytest.warns(FutureWarning):
-            assert main(["--scale", "32", "analyze", path,
-                         "--format", "native", "--sim-engine", "batch"]) == 0
-        assert capsys.readouterr().out == fast_out
+        for argv in (
+            ["partition", "mcf", "art", "--sim-engine", "batch"],
+            ["probe", "mcf", "--sim-engine", "batch"],
+            ["analyze", "trace.txt", "--sim-engine", "scalar"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
 
 
 class TestTelemetry:
