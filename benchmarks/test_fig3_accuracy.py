@@ -18,8 +18,7 @@ from repro.workloads.spec import PROBLEMATIC, WORKLOAD_NAMES
 def test_fig3_accuracy(benchmark, bench_machine, bench_offline, save_report):
     rows = benchmark.pedantic(
         fig3_accuracy,
-        kwargs={"machine": bench_machine, "offline": bench_offline,
-                "fast": True},
+        kwargs={"machine": bench_machine, "offline": bench_offline},
         rounds=1, iterations=1,
     )
 

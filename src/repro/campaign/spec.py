@@ -15,22 +15,18 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.estimators import ESTIMATORS
+from repro.core.stack import STACK_ENGINES
 from repro.io.perf_script import parse_perf_script, split_by_pid
 from repro.sim.machine import resolve_sim_engine
 from repro.workloads import WORKLOAD_NAMES
 
 __all__ = [
-    "EXACT_ENGINES",
     "CampaignSpec",
     "MachineSpec",
     "TraceFileTarget",
     "WorkloadTarget",
     "cell_id",
 ]
-
-#: Exact stack engines (estimator names come from the estimator registry).
-EXACT_ENGINES: Tuple[str, ...] = ("naive", "rangelist", "fenwick", "batch")
 
 _ID_SANITIZE_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -245,12 +241,11 @@ class CampaignSpec:
             raise ValueError("campaign needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be unique")
-        known = set(EXACT_ENGINES) | set(ESTIMATORS)
         for engine in self.engines:
-            if engine not in known:
+            if engine not in STACK_ENGINES:
                 raise ValueError(
                     f"unknown engine {engine!r}; options: "
-                    f"{', '.join(sorted(known))}"
+                    f"{', '.join(STACK_ENGINES)}"
                 )
         if len(set(self.engines)) != len(self.engines):
             raise ValueError("engines must be unique")

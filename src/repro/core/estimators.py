@@ -5,7 +5,7 @@ cost on every trace entry.  The MRC survey (Byrne, arXiv:1804.01972)
 catalogs sampling-based constructions that approximate the same curve
 at a small constant fraction of that cost; this module provides two of
 them behind a registry that plugs into :class:`~repro.core.stack.
-LRUStackSimulator` alongside ``naive``/``rangelist``/``fenwick``/``batch``:
+LRUStackSimulator` alongside ``naive``/``rangelist``/``batch``:
 
 - :class:`ShardsEstimator` -- SHARDS-style spatially-hashed sampling
   (Waldspurger et al.).  A line is *sampled* when ``hash(line) < T``
@@ -46,7 +46,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.histogram import StackDistanceHistogram
+from repro.core.histogram import StackDistanceHistogram, normalize_boundaries
 from repro.core.warmup import AutomaticWarmup, HybridWarmup, NoWarmup, StaticWarmup
 
 try:  # numpy accelerates the hash prefilter; everything works without it
@@ -185,12 +185,15 @@ class EstimateResult:
 class _SampledStack:
     """Fenwick LRU stack over the sampled sub-trace, with eviction.
 
-    A twin of :class:`~repro.core.stack.FenwickLRUStack` bounded at the
+    Each resident line holds the timestamp of its last access and a
+    Fenwick (binary indexed) tree counts live timestamps, so the number
+    of live timestamps newer than a line's last access is its 0-based
+    stack depth, in O(log n) per access.  The stack is bounded at the
     *sampled* depth (``ceil(max_depth * R)``): a sampled line deeper
     than the bound rescales past ``max_depth`` and is a cold miss for
     every size under study, so compaction may drop it.  Capacity is
-    fixed (not doubling) to keep memory at ~4x the bound; compaction
-    cost stays amortized constant per access.
+    fixed to keep memory at ~4x the bound; compaction cost stays
+    amortized constant per access.
     """
 
     __slots__ = (
@@ -369,23 +372,6 @@ class _WarmupAdapter:
         return self.distinct_weight >= self._max_depth
 
 
-def _normalize_boundaries(
-    max_depth: int, boundaries: Optional[Sequence[int]]
-) -> List[int]:
-    if max_depth <= 0:
-        raise ValueError("max_depth must be positive")
-    if boundaries is None:
-        boundaries = [max_depth]
-    bounds = sorted(set(int(b) for b in boundaries))
-    if not bounds or bounds[0] < 1:
-        raise ValueError("boundaries must be positive depths")
-    if bounds[-1] != max_depth:
-        if bounds[-1] > max_depth:
-            raise ValueError("boundaries cannot exceed max_depth")
-        bounds.append(max_depth)
-    return bounds
-
-
 class ShardsEstimator:
     """SHARDS: spatially-hashed sampling over a sampled Fenwick stack."""
 
@@ -398,7 +384,7 @@ class ShardsEstimator:
         config: EstimatorConfig = EstimatorConfig(),
     ):
         self.max_depth = max_depth
-        self.boundaries = _normalize_boundaries(max_depth, boundaries)
+        self.boundaries = normalize_boundaries(max_depth, boundaries)
         self.config = config
         self._seed_mix = _mix64(config.seed & _MASK64)
 
@@ -534,7 +520,7 @@ class AETEstimator:
         config: EstimatorConfig = EstimatorConfig(),
     ):
         self.max_depth = max_depth
-        self.boundaries = _normalize_boundaries(max_depth, boundaries)
+        self.boundaries = normalize_boundaries(max_depth, boundaries)
         self.config = config
         self._seed_mix = _mix64(config.seed & _MASK64)
 

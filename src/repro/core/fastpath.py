@@ -3,10 +3,10 @@
 The per-access engines in :mod:`repro.core.stack` pay Python interpreter
 overhead on every one of the ~160k trace entries of a probe (paper
 Section 5.2.3).  This module provides whole-trace, array-based twins of
-the hot pipeline stages:
+the hot pipeline stages, and is the default ``batch`` engine:
 
-- vectorized trace corrections mirroring :mod:`repro.core.correction`
-  (stale-SDAR repair, thinning, random drops) on int64 arrays;
+- :func:`correct_stale_repetitions`, the stale-SDAR repair of
+  :mod:`repro.core.correction` on int64 arrays;
 - :func:`batch_stack_distances`, a batched Mattson kernel that computes
   every access's exact bounded stack distance in O(n log n) vectorized
   numpy work;
@@ -16,8 +16,8 @@ the hot pipeline stages:
   :mod:`repro.core.warmup`.
 
 Everything here is **bit-identical** to the scalar engines: the batch
-kernel reproduces :class:`~repro.core.stack.FenwickLRUStack`'s exact
-distances and, when given boundaries, the quantized histogram of
+kernel reproduces :class:`~repro.core.stack.NaiveLRUStack`'s exact
+distances and the quantized histogram of
 :class:`~repro.core.stack.RangeListLRUStack` (the differential tests in
 ``tests/core/test_fastpath.py`` and the engine benchmark enforce this).
 
@@ -50,7 +50,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.core.correction import CorrectionResult
-from repro.core.histogram import COLD_MISS, StackDistanceHistogram
+from repro.core.histogram import (
+    COLD_MISS,
+    StackDistanceHistogram,
+    normalize_boundaries,
+)
 from repro.obs import get_telemetry
 from repro.core.warmup import (
     AutomaticWarmup,
@@ -62,8 +66,6 @@ from repro.core.warmup import (
 __all__ = [
     "as_trace_array",
     "correct_stale_repetitions",
-    "thin_trace",
-    "drop_random",
     "previous_occurrences",
     "batch_stack_distances",
     "batch_histogram",
@@ -88,7 +90,7 @@ def as_trace_array(trace: Iterable[int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized corrections (twins of repro.core.correction)
+# Vectorized stale-SDAR repair (twin of repro.core.correction)
 # ---------------------------------------------------------------------------
 
 def correct_stale_repetitions(trace: Iterable[int]) -> CorrectionResult:
@@ -116,33 +118,6 @@ def correct_stale_repetitions(trace: Iterable[int]) -> CorrectionResult:
     converted = int(is_rep.sum())
     registry.counter("fastpath.converted_entries").inc(converted)
     return CorrectionResult(trace=corrected, converted=converted)
-
-
-def thin_trace(trace: Iterable[int], keep_every: int) -> np.ndarray:
-    """Vectorized twin of :func:`repro.core.correction.thin_trace`."""
-    if keep_every < 1:
-        raise ValueError("keep_every must be >= 1")
-    arr = as_trace_array(trace)
-    if keep_every == 1:
-        return arr.copy()
-    return arr[::keep_every].copy()
-
-
-def drop_random(trace: Iterable[int], drop_probability: float, rng) -> np.ndarray:
-    """Vectorized twin of :func:`repro.core.correction.drop_random`.
-
-    Draws from ``rng`` in the same order as the scalar version, so the
-    surviving entries are identical for the same seed.
-    """
-    if not 0.0 <= drop_probability <= 1.0:
-        raise ValueError("drop_probability must be in [0, 1]")
-    arr = as_trace_array(trace)
-    if drop_probability == 0.0:
-        return arr.copy()
-    draws = np.fromiter(
-        (rng.random() for _ in range(arr.size)), dtype=np.float64, count=arr.size
-    )
-    return arr[draws >= drop_probability]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +226,7 @@ def batch_stack_distances(trace: Iterable[int], max_depth: int) -> np.ndarray:
     Returns an int64 array: 1-based distances for reuses within
     ``max_depth``, :data:`~repro.core.histogram.COLD_MISS` for first
     touches and for reuses deeper than the bound -- element for element
-    what :class:`~repro.core.stack.FenwickLRUStack` returns.
+    what :class:`~repro.core.stack.NaiveLRUStack` returns.
     """
     if max_depth <= 0:
         raise ValueError("max_depth must be positive")
@@ -341,38 +316,17 @@ def _resolve_warmup_start(warmup, prev: np.ndarray, max_depth: int) -> int:
     )
 
 
-def _normalized_boundaries(
-    boundaries: Optional[Sequence[int]], max_depth: int
-) -> np.ndarray:
-    """Validate and complete boundaries the way RangeListLRUStack does."""
-    if boundaries is None:
-        bounds = [max_depth]
-    else:
-        bounds = sorted(set(int(b) for b in boundaries))
-        if not bounds or bounds[0] < 1:
-            raise ValueError("boundaries must be positive depths")
-        if bounds[-1] > max_depth:
-            raise ValueError("boundaries cannot exceed max_depth")
-        if bounds[-1] != max_depth:
-            bounds.append(max_depth)
-    return np.asarray(bounds, dtype=np.int64)
-
-
 def batch_histogram(
     trace: Iterable[int],
     max_depth: int,
     boundaries: Optional[Sequence[int]] = None,
     warmup=None,
-    quantize: bool = True,
 ) -> StackDistanceHistogram:
     """Whole-trace stack-distance histogram, vectorized end to end.
 
-    With ``quantize=True`` (default), distances are bucketed to the upper
-    boundary of their range and the result is identical to running
-    :class:`~repro.core.stack.RangeListLRUStack` over the trace; with
-    ``quantize=False`` the exact histogram of
-    :class:`~repro.core.stack.FenwickLRUStack` is produced (``boundaries``
-    must then be ``None``).
+    Distances are bucketed to the upper boundary of their range, so the
+    result is identical to running
+    :class:`~repro.core.stack.RangeListLRUStack` over the trace.
 
     Args:
         trace: the (already corrected) cache-line trace.
@@ -381,14 +335,10 @@ def batch_histogram(
             absent, as in the range-list engine.
         warmup: a policy from :mod:`repro.core.warmup`, or ``None`` to
             record every access.
-        quantize: bucket distances to ``boundaries`` (range-list
-            semantics) instead of keeping them exact.
     """
-    if max_depth <= 0:
-        raise ValueError("max_depth must be positive")
-    if not quantize and boundaries is not None:
-        raise ValueError("exact (quantize=False) histograms take no boundaries")
-    bounds = _normalized_boundaries(boundaries, max_depth) if quantize else None
+    bounds = np.asarray(
+        normalize_boundaries(max_depth, boundaries), dtype=np.int64
+    )
     arr = as_trace_array(trace)
     n = arr.size
     registry = get_telemetry().registry
@@ -408,14 +358,9 @@ def batch_histogram(
     histogram.cold_misses = int(recorded_cold.sum())
     if recorded.size == 0:
         return histogram
-    if quantize:
-        buckets = np.searchsorted(bounds, recorded, side="left")
-        counts = np.bincount(buckets, minlength=bounds.size)
-        histogram.counts = {
-            int(bounds[i]): int(c) for i, c in enumerate(counts) if c
-        }
-    else:
-        counts = np.bincount(recorded)
-        nonzero = np.flatnonzero(counts)
-        histogram.counts = {int(d): int(counts[d]) for d in nonzero}
+    buckets = np.searchsorted(bounds, recorded, side="left")
+    counts = np.bincount(buckets, minlength=bounds.size)
+    histogram.counts = {
+        int(bounds[i]): int(c) for i, c in enumerate(counts) if c
+    }
     return histogram

@@ -19,11 +19,36 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.mrc import MissRateCurve
 
-__all__ = ["StackDistanceHistogram", "COLD_MISS"]
+__all__ = ["StackDistanceHistogram", "COLD_MISS", "normalize_boundaries"]
 
 #: Sentinel stack distance for a first-touch (cold) access: the address was
 #: not on the LRU stack, so no finite cache size can turn it into a hit.
 COLD_MISS = -1
+
+
+def normalize_boundaries(
+    max_depth: int, boundaries: Optional[Sequence[int]]
+) -> List[int]:
+    """Validate quantization depths and complete them with ``max_depth``.
+
+    Returns the sorted, de-duplicated depths, ending at ``max_depth``
+    (appended when absent; ``None`` means ``[max_depth]``).  Every engine
+    that quantizes distances -- the range list, the batch kernel and the
+    estimators -- resolves its boundaries here, so they reject the same
+    inputs with the same messages.
+    """
+    if max_depth <= 0:
+        raise ValueError("max_depth must be positive")
+    if boundaries is None:
+        return [max_depth]
+    bounds = sorted(set(int(b) for b in boundaries))
+    if not bounds or bounds[0] < 1:
+        raise ValueError("boundaries must be positive depths")
+    if bounds[-1] > max_depth:
+        raise ValueError("boundaries cannot exceed max_depth")
+    if bounds[-1] != max_depth:
+        bounds.append(max_depth)
+    return bounds
 
 
 @dataclass

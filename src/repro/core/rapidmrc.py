@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.core import fastpath
 from repro.core.correction import CorrectionResult, correct_stale_repetitions
 from repro.core.estimators import EstimatorConfig, is_estimator
 from repro.core.histogram import StackDistanceHistogram
 from repro.core.mrc import MissRateCurve
-from repro.core.stack import LRUStackSimulator
+from repro.core.stack import STACK_ENGINES, LRUStackSimulator
 from repro.core.warmup import HybridWarmup, NoWarmup, StaticWarmup, warmup_fraction_used
 from repro.obs import get_telemetry
 from repro.sim.machine import MachineConfig
@@ -37,12 +38,15 @@ class ProbeConfig:
         warmup: ``"hybrid"`` (automatic with static fallback -- the
             Table 2 policy), ``"static"`` (always half the log),
             ``"none"``, or an integer for an explicit static entry count.
-        stack_engine: ``rangelist`` (paper's choice), ``fenwick``,
-            ``naive``, ``batch`` -- the vectorized whole-trace fast
-            path of :mod:`repro.core.fastpath`, bit-identical to
-            ``rangelist`` but several times faster -- or a sub-linear
+        stack_engine: one of :data:`~repro.core.stack.STACK_ENGINES`:
+            ``batch`` (default) -- the vectorized whole-trace kernel of
+            :mod:`repro.core.fastpath`, bit-identical to ``rangelist``
+            but several times faster; ``rangelist``, the paper's
+            range-list engine and the reference ``batch`` is tested
+            against; ``naive``, the exact oracle; or a sub-linear
             sampling estimator (``shards``, ``aet``) from
-            :mod:`repro.core.estimators`.
+            :mod:`repro.core.estimators`.  Unknown names raise at
+            construction.
         correct_prefetch_repetitions: apply the stale-SDAR repair.
         anchor_color: cache size (colors) used for v-offset matching; the
             paper uses the 8-color point (Section 5.2.1).
@@ -53,12 +57,17 @@ class ProbeConfig:
 
     log_entries: Optional[int] = None
     warmup: object = "hybrid"
-    stack_engine: str = "rangelist"
+    stack_engine: str = "batch"
     correct_prefetch_repetitions: bool = True
     anchor_color: int = 8
     sampling_rate: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if self.stack_engine not in STACK_ENGINES:
+            raise ValueError(
+                f"unknown stack engine {self.stack_engine!r}; options: "
+                f"{', '.join(STACK_ENGINES)}"
+            )
         if self.sampling_rate is not None:
             if not 0.0 < self.sampling_rate <= 1.0:
                 raise ValueError(
@@ -195,21 +204,10 @@ class RapidMRC:
         with telemetry.tracer.span(
             "correction", engine=engine_name, entries=len(trace)
         ):
-            use_arrays = engine_name == "batch"
-            if estimating:
-                # Estimators hash-prefilter on arrays too; the
-                # vectorized correction keeps the whole pre-sampling
-                # stage out of the per-entry interpreter loop.  Without
-                # numpy they fall back to the scalar correction.
-                try:
-                    from repro.core import fastpath  # noqa: F401
-
-                    use_arrays = True
-                except ImportError:
-                    use_arrays = False
-            if use_arrays:
-                from repro.core import fastpath
-
+            # Estimators hash-prefilter on arrays too; the vectorized
+            # correction keeps their whole pre-sampling stage out of the
+            # per-entry interpreter loop.
+            if engine_name == "batch" or estimating:
                 lines = fastpath.as_trace_array(trace)
                 if self.config.correct_prefetch_repetitions:
                     correction = fastpath.correct_stale_repetitions(lines)

@@ -7,25 +7,24 @@ distance ``d`` hits in any fully-associative LRU cache of size >= ``d``
 lines and misses in any smaller one, so a single pass yields the whole
 miss-rate curve.
 
-Three interchangeable engines are provided:
+Three exact engines are provided:
 
-- :class:`NaiveLRUStack` -- a literal list-based stack, O(depth) per
-  access.  The reference implementation used to cross-validate the others.
-- :class:`RangeListLRUStack` -- Kim, Hill & Wood's *range list*
-  optimization [20], the one the paper's MRC engine uses (Section 3.2).
-  Distances are resolved only to the granularity of the cache sizes of
-  interest (the 16 partition boundaries), which cuts the per-access cost
-  to O(#boundaries) pointer operations.
-- :class:`FenwickLRUStack` -- an order-statistic (binary indexed tree)
-  engine giving *exact* distances in O(log trace) per access; useful when
-  full-resolution histograms are wanted (e.g. the Dinero associativity
-  study feeds from it).
+- ``naive`` (:class:`NaiveLRUStack`) -- a literal list-based stack,
+  O(depth) per access.  The oracle the other engines are tested against,
+  and the per-set stack of the Dinero associativity study.
+- ``rangelist`` (:class:`RangeListLRUStack`) -- Kim, Hill & Wood's
+  *range list* optimization [20], the one the paper's MRC engine uses
+  (Section 3.2).  Distances are resolved only to the granularity of the
+  cache sizes of interest (the 16 partition boundaries), which cuts the
+  per-access cost to O(#boundaries) pointer operations.
+- ``batch`` -- the numpy-vectorized whole-trace kernel in
+  :mod:`repro.core.fastpath`, reached through the
+  :class:`LRUStackSimulator` facade.  Its histograms are bit-identical
+  to ``rangelist``'s at a large constant-factor speedup, but it has no
+  incremental (per-access) interface.  It is the default engine.
 
-A fourth engine name, ``batch``, selects the numpy-vectorized
-whole-trace kernel in :mod:`repro.core.fastpath` through the
-:class:`LRUStackSimulator` facade.  It produces histograms bit-identical
-to the per-access engines at a large constant-factor speedup, but has no
-incremental (per-access) interface.
+:data:`STACK_ENGINES` names them, followed by the sampling estimators of
+:mod:`repro.core.estimators` (``shards``, ``aet``).
 
 All engines bound the stack to ``max_depth`` lines, as the paper bounds
 its stack to the L2 size: any access whose distance exceeds the bound is
@@ -37,15 +36,30 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core.histogram import COLD_MISS, StackDistanceHistogram
+from repro.core.estimators import (
+    ESTIMATORS,
+    EstimatorConfig,
+    is_estimator,
+    make_estimator,
+)
+from repro.core.fastpath import batch_histogram
+from repro.core.histogram import (
+    COLD_MISS,
+    StackDistanceHistogram,
+    normalize_boundaries,
+)
 
 __all__ = [
+    "STACK_ENGINES",
     "NaiveLRUStack",
     "RangeListLRUStack",
-    "FenwickLRUStack",
     "LRUStackSimulator",
     "make_engine",
 ]
+
+#: Every valid ``stack_engine`` name: the exact engines, then the
+#: sampling estimators.
+STACK_ENGINES = ("naive", "rangelist", "batch") + tuple(ESTIMATORS)
 
 
 class NaiveLRUStack:
@@ -117,17 +131,7 @@ class RangeListLRUStack:
     """
 
     def __init__(self, max_depth: int, boundaries: Optional[Sequence[int]] = None):
-        if max_depth <= 0:
-            raise ValueError("max_depth must be positive")
-        if boundaries is None:
-            boundaries = [max_depth]
-        bounds = sorted(set(int(b) for b in boundaries))
-        if not bounds or bounds[0] < 1:
-            raise ValueError("boundaries must be positive depths")
-        if bounds[-1] != max_depth:
-            if bounds[-1] > max_depth:
-                raise ValueError("boundaries cannot exceed max_depth")
-            bounds.append(max_depth)
+        bounds = normalize_boundaries(max_depth, boundaries)
         self.max_depth = max_depth
         self.boundaries = bounds
         # _markers[i] is the node at depth boundaries[i], or None while the
@@ -296,149 +300,36 @@ class RangeListLRUStack:
         raise AssertionError("depth beyond max_depth")
 
 
-class FenwickLRUStack:
-    """Exact-distance LRU stack via an order-statistic Fenwick tree.
-
-    Classic O(log n) reuse-distance computation: each resident line holds
-    the timestamp of its last access; the Fenwick tree counts live
-    timestamps, so the number of live timestamps newer than the line's
-    last access is its 0-based stack depth.
-
-    The structure is logically unbounded, which is behaviourally identical
-    to the paper's bounded stack: once a line sinks below ``max_depth`` it
-    can never rise again without being re-accessed, so every later access
-    to it has distance > ``max_depth`` and is classified as a cold miss,
-    exactly as if it had been evicted.  Lines deeper than ``max_depth``
-    are physically dropped during periodic timestamp compaction to bound
-    memory.
-    """
-
-    def __init__(self, max_depth: int, capacity: Optional[int] = None):
-        if max_depth <= 0:
-            raise ValueError("max_depth must be positive")
-        self.max_depth = max_depth
-        self._capacity = capacity or max(4 * max_depth, 1 << 12)
-        self._tree = [0] * (self._capacity + 1)
-        self._last_time: Dict[int, int] = {}
-        self._time = 0
-        self._live = 0
-        #: Number of timestamp compactions performed (exposed for tests).
-        self.compactions = 0
-
-    @property
-    def occupancy(self) -> int:
-        return min(len(self._last_time), self.max_depth)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._last_time) >= self.max_depth
-
-    def _tree_add(self, pos: int, delta: int) -> None:
-        while pos <= self._capacity:
-            self._tree[pos] += delta
-            pos += pos & (-pos)
-
-    def _tree_sum(self, pos: int) -> int:
-        total = 0
-        while pos > 0:
-            total += self._tree[pos]
-            pos -= pos & (-pos)
-        return total
-
-    def access(self, line: int) -> int:
-        if self._time + 1 > self._capacity:
-            self._compact()
-        self._time += 1
-        now = self._time
-        previous = self._last_time.get(line)
-        if previous is None:
-            distance = COLD_MISS
-        else:
-            newer = self._live - self._tree_sum(previous)
-            distance = newer + 1
-            self._tree_add(previous, -1)
-            self._live -= 1
-            if distance > self.max_depth:
-                distance = COLD_MISS
-        self._last_time[line] = now
-        self._tree_add(now, 1)
-        self._live += 1
-        return distance
-
-    def _compact(self) -> None:
-        """Re-number timestamps densely, dropping lines below max_depth.
-
-        Capacity doubles on every compaction: a fixed capacity close to
-        ``max_depth`` would make compaction (an O(capacity + depth log
-        depth) full rebuild) fire every ``capacity - max_depth`` accesses
-        and turn the engine quadratic.  Doubling keeps the total number
-        of compactions over a trace logarithmic, at the cost of tree
-        memory proportional to the longest burst processed so far.
-        """
-        ordered = sorted(self._last_time.items(), key=lambda item: -item[1])
-        kept = ordered[: self.max_depth]
-        kept.reverse()  # oldest first -> ascending new timestamps
-        self.compactions += 1
-        self._capacity *= 2
-        self._tree = [0] * (self._capacity + 1)
-        self._last_time = {}
-        self._live = 0
-        self._time = 0
-        for line, _old_time in kept:
-            self._time += 1
-            self._last_time[line] = self._time
-            self._tree_add(self._time, 1)
-            self._live += 1
-
-    def resident_lines(self) -> List[int]:
-        """Lines within max_depth, most-recent first (for tests)."""
-        ordered = sorted(self._last_time.items(), key=lambda item: -item[1])
-        return [line for line, _t in ordered[: self.max_depth]]
-
-
-_ENGINES = {
-    "naive": NaiveLRUStack,
-    "rangelist": RangeListLRUStack,
-    "fenwick": FenwickLRUStack,
-}
-
-
 def make_engine(
     name: str, max_depth: int, boundaries: Optional[Sequence[int]] = None
 ):
-    """Instantiate a stack engine by name (``naive``/``rangelist``/``fenwick``).
+    """Instantiate a per-access stack engine by name (``naive``/``rangelist``).
 
     Only the range-list engine can honor ``boundaries`` (it quantizes
-    every reported distance to them); the exact engines cannot, and a
+    every reported distance to them); the naive engine cannot, and a
     caller asking for quantized distances must not silently receive
-    exact ones, so passing ``boundaries`` to them raises.  The ``batch``
-    engine is not constructible here -- it has no per-access interface;
-    use :class:`LRUStackSimulator` or :mod:`repro.core.fastpath`.
+    exact ones, so passing ``boundaries`` to it raises.  The ``batch``
+    engine and the estimators are not constructible here -- they have
+    no per-access interface; use :class:`LRUStackSimulator`.
     """
-    if name == "batch":
+    if name == "batch" or is_estimator(name):
         raise ValueError(
-            "the 'batch' engine processes whole traces, not single accesses; "
-            "use LRUStackSimulator(engine='batch') or repro.core.fastpath"
+            f"the {name!r} engine processes whole traces, not single "
+            f"accesses; use LRUStackSimulator(engine={name!r})"
         )
-    from repro.core.estimators import is_estimator
-
-    if is_estimator(name):
-        raise ValueError(
-            f"the {name!r} estimator processes whole traces, not single "
-            f"accesses; use LRUStackSimulator(engine={name!r}) or "
-            f"repro.core.estimators"
-        )
-    if name not in _ENGINES:
-        raise ValueError(f"unknown stack engine {name!r}; options: {sorted(_ENGINES)}")
     if name == "rangelist":
         return RangeListLRUStack(max_depth, boundaries=boundaries)
+    if name != "naive":
+        raise ValueError(
+            f"unknown stack engine {name!r}; options: {', '.join(STACK_ENGINES)}"
+        )
     if boundaries is not None:
         raise ValueError(
-            f"stack engine {name!r} computes exact distances and cannot honor "
-            f"boundaries; use 'rangelist' (or the batch fast path) for "
-            f"boundary-quantized distances, or pass boundaries=None"
+            "stack engine 'naive' computes exact distances and cannot honor "
+            "boundaries; use 'rangelist' (or 'batch') for boundary-quantized "
+            "distances, or pass boundaries=None"
         )
-    return _ENGINES[name](max_depth)
+    return NaiveLRUStack(max_depth)
 
 
 class LRUStackSimulator:
@@ -450,18 +341,18 @@ class LRUStackSimulator:
 
     Args:
         max_depth: stack bound in lines (the L2 size: 15360 on POWER5).
-        engine: one of ``naive``, ``rangelist``, ``fenwick``, ``batch``,
-            or a sampling estimator from :mod:`repro.core.estimators`
-            (``shards``, ``aet``); estimators also only support
-            :meth:`process`, and leave their cost accounting in
-            :attr:`last_estimate`.
+        engine: one of :data:`STACK_ENGINES`: ``naive``, ``rangelist``,
+            ``batch``, or a sampling estimator from
+            :mod:`repro.core.estimators` (``shards``, ``aet``);
+            estimators also only support :meth:`process`, and leave
+            their cost accounting in :attr:`last_estimate`.
         boundaries: the depths (in lines) at which distances must be
             resolvable -- normally the 16 partition sizes.  The
             range-list and batch engines quantize distances to exactly
-            these; the exact engines (``naive``, ``fenwick``) resolve
-            *every* depth and so satisfy any boundaries trivially -- the
-            argument is not forwarded to them (forwarding would raise,
-            see :func:`make_engine`).
+            these; the naive engine resolves *every* depth and so
+            satisfies any boundaries trivially -- the argument is not
+            forwarded to it (forwarding would raise, see
+            :func:`make_engine`).
 
     The ``batch`` engine (:mod:`repro.core.fastpath`) has no per-access
     interface: it vectorizes whole traces, so only :meth:`process` works;
@@ -475,8 +366,6 @@ class LRUStackSimulator:
         boundaries: Optional[Sequence[int]] = None,
         estimator_config: "object" = None,
     ):
-        from repro.core.estimators import is_estimator
-
         self.engine_name = engine
         self.boundaries = list(boundaries) if boundaries is not None else None
         self.estimator_config = estimator_config
@@ -526,12 +415,6 @@ class LRUStackSimulator:
             The stack-distance histogram of all recorded accesses.
         """
         if self._engine is None:
-            from repro.core.estimators import (
-                EstimatorConfig,
-                is_estimator,
-                make_estimator,
-            )
-
             if is_estimator(self.engine_name):
                 estimator = make_estimator(
                     self.engine_name,
@@ -542,8 +425,6 @@ class LRUStackSimulator:
                 estimate = estimator.estimate(trace, warmup=warmup)
                 self.last_estimate = estimate
                 return estimate.histogram
-            from repro.core.fastpath import batch_histogram
-
             return batch_histogram(
                 trace,
                 max_depth=self.max_depth,

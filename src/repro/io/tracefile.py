@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-__all__ = ["save_trace", "load_trace", "load_trace_array"]
+__all__ = ["save_trace", "load_trace"]
 
 
 def save_trace(
@@ -49,24 +49,3 @@ def load_trace(path: str) -> List[int]:
                 ) from None
     return entries
 
-
-def load_trace_array(path: str):
-    """Read a trace log directly into a contiguous int64 numpy array.
-
-    The array-native twin of :func:`load_trace` for the batch fast path
-    (:mod:`repro.core.fastpath`): the file parses in one vectorized pass
-    instead of a Python loop per entry.  Raises ``ValueError`` on
-    malformed entries, like :func:`load_trace`.
-    """
-    import numpy as np
-
-    try:
-        arr = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=1)
-    except ValueError as error:
-        raise ValueError(f"{path}: not a valid trace log: {error}") from None
-    if arr.ndim != 1:
-        raise ValueError(
-            f"{path}: expected one cache-line number per line, "
-            f"got shape {arr.shape}"
-        )
-    return arr

@@ -202,11 +202,10 @@ def _probe_and_compare(
     online: OnlineProbeConfig,
     probe_config: ProbeConfig,
     anchor_color: int = 8,
-    fast: Optional[bool] = None,
 ) -> AccuracyRow:
     workload = make_workload(name, machine)
     real = real_mrc(workload, machine, offline)
-    probe = collect_trace(workload, machine, online, probe_config, fast=fast)
+    probe = collect_trace(workload, machine, online, probe_config)
     probe.calibrate(anchor_color, real[anchor_color])
     calc = probe.result.best_mrc
     return AccuracyRow(
@@ -225,15 +224,12 @@ def fig3_accuracy(
     offline: OfflineConfig = OfflineConfig(),
     online: OnlineProbeConfig = OnlineProbeConfig(),
     probe_config: ProbeConfig = ProbeConfig(),
-    fast: Optional[bool] = None,
     max_workers: Optional[int] = None,
     sim_engine: Optional[str] = None,
 ) -> List[AccuracyRow]:
     """Figure 3: RapidMRC vs the real MRC for every application.
 
     Args:
-        fast: forwarded to :func:`~repro.runner.online.collect_trace` --
-            ``True`` computes every probe's MRC with the batch engine.
         max_workers: probe the applications in parallel worker processes
             (each row is independent); ``None`` stays sequential.
         sim_engine: override the machine's simulation engine
@@ -250,13 +246,12 @@ def fig3_accuracy(
         return pool.map_traced(
             _probe_and_compare,
             [
-                (name, machine, offline, online, probe_config, 8, fast)
+                (name, machine, offline, online, probe_config)
                 for name in chosen
             ],
         )
     return [
-        _probe_and_compare(name, machine, offline, online, probe_config,
-                           fast=fast)
+        _probe_and_compare(name, machine, offline, online, probe_config)
         for name in chosen
     ]
 
@@ -513,7 +508,6 @@ def fig7_partitioning(
     offline: OfflineConfig = OfflineConfig(),
     splits: Optional[Sequence[int]] = None,
     disable_l3: bool = True,
-    fast: Optional[bool] = None,
     max_workers: Optional[int] = None,
     sim_engine: Optional[str] = None,
 ) -> List[Fig7Result]:
@@ -524,8 +518,6 @@ def fig7_partitioning(
     swallowed the working sets); ``disable_l3`` reproduces that.
 
     Args:
-        fast: forwarded to the per-application probes -- ``True``
-            computes each co-runner's MRC with the batch engine.
         max_workers: probe the two co-runners of each pair in parallel
             worker processes (they are independent runs).
         sim_engine: override the machine's simulation engine
@@ -549,18 +541,16 @@ def fig7_partitioning(
                 _probe_and_compare,
                 [
                     (name, machine, offline, OnlineProbeConfig(),
-                     ProbeConfig(), 8, fast)
+                     ProbeConfig())
                     for name in (name_a, name_b)
                 ],
             )
         else:
             row_a = _probe_and_compare(
                 name_a, machine, offline, OnlineProbeConfig(), ProbeConfig(),
-                fast=fast,
             )
             row_b = _probe_and_compare(
                 name_b, machine, offline, OnlineProbeConfig(), ProbeConfig(),
-                fast=fast,
             )
         chosen_real = choose_partition_sizes(
             row_a.real, row_b.real, machine.num_colors

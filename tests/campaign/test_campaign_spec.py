@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.campaign.spec import (
-    EXACT_ENGINES,
     CampaignSpec,
     MachineSpec,
     TraceFileTarget,
@@ -14,6 +13,7 @@ from repro.campaign.spec import (
     cell_id,
 )
 from repro.core.estimators import ESTIMATORS
+from repro.core.stack import STACK_ENGINES
 from repro.workloads import WORKLOAD_NAMES
 
 
@@ -125,7 +125,7 @@ class TestSerialization:
             min_size=1, max_size=3, unique=True,
         ),
         engines=st.lists(
-            st.sampled_from(sorted(set(EXACT_ENGINES) | set(ESTIMATORS))),
+            st.sampled_from(STACK_ENGINES),
             min_size=1, max_size=4, unique=True,
         ),
         seeds=st.lists(

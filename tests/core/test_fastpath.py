@@ -2,9 +2,9 @@
 
 The contract of :mod:`repro.core.fastpath` is *bit-identical* output:
 the batch kernel must reproduce the scalar engines exactly -- the exact
-distances of the naive/Fenwick engines, the quantized histograms of the
+distances of the naive engine, the quantized histograms of the
 range-list engine, the warmup bookkeeping of the scalar simulator loop,
-and the corrections of :mod:`repro.core.correction` -- on any trace.
+and the stale-SDAR repair of :mod:`repro.core.correction` -- on any trace.
 These tests enforce that with hand-built cases and hypothesis-generated
 traces, including the boundary ``b[0] == 1``, eviction-heavy, and
 single-line-run shapes called out in the fast-path design.
@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import correction as scalar
 from repro.core import fastpath as fp
-from repro.core.histogram import COLD_MISS
+from repro.core.histogram import normalize_boundaries
 from repro.core.rapidmrc import ProbeConfig, RapidMRC
+from repro.core.estimators import ShardsEstimator
 from repro.core.stack import (
-    FenwickLRUStack,
     LRUStackSimulator,
     NaiveLRUStack,
     RangeListLRUStack,
@@ -61,28 +61,6 @@ class TestVectorizedCorrections:
         got = fp.correct_stale_repetitions(trace)
         assert got.trace.tolist() == want.trace
         assert got.converted == want.converted
-
-    def test_thin_trace_matches_scalar(self):
-        trace = list(range(17))
-        for keep in (1, 2, 4, 7):
-            assert fp.thin_trace(trace, keep).tolist() == scalar.thin_trace(
-                trace, keep
-            )
-
-    def test_thin_trace_rejects_bad_keep(self):
-        with pytest.raises(ValueError):
-            fp.thin_trace([1, 2], 0)
-
-    def test_drop_random_draws_in_scalar_order(self):
-        trace = list(range(500))
-        for probability in (0.0, 0.3, 1.0):
-            want = scalar.drop_random(trace, probability, random.Random(7))
-            got = fp.drop_random(trace, probability, random.Random(7))
-            assert got.tolist() == want
-
-    def test_drop_random_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            fp.drop_random([1], 1.5, random.Random(0))
 
 
 class TestBatchDistances:
@@ -138,18 +116,18 @@ def draw_boundaries(data, depth):
 
 
 class TestDifferentialHistogram:
-    """The satellite differential property: all four engines agree."""
+    """The differential property: every exact engine agrees at the boundaries."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         trace=st.lists(st.integers(min_value=0, max_value=60), max_size=400),
         data=st.data(),
     )
-    def test_property_four_engines_identical_quantized(self, trace, data):
+    def test_property_exact_engines_identical_quantized(self, trace, data):
         depth = data.draw(st.integers(min_value=2, max_value=32))
         bounds = draw_boundaries(data, depth)
         hists = {}
-        for engine in ("naive", "fenwick", "rangelist"):
+        for engine in ("naive", "rangelist"):
             sim = LRUStackSimulator(depth, engine=engine, boundaries=bounds)
             hists[engine] = sim.process(trace)
         hists["batch"] = fp.batch_histogram(
@@ -162,11 +140,8 @@ class TestDifferentialHistogram:
         reference = hists["rangelist"]
         assert hists["batch"].counts == reference.counts
         assert hists["batch"].cold_misses == reference.cold_misses
-        for engine in ("naive", "fenwick"):
-            for bound in rangelist.boundaries:
-                assert hists[engine].misses_at(bound) == reference.misses_at(
-                    bound
-                )
+        for bound in rangelist.boundaries:
+            assert hists["naive"].misses_at(bound) == reference.misses_at(bound)
 
     def test_boundary_one(self):
         # b[0] == 1: the tightest range, distance-1 hits only.
@@ -194,35 +169,41 @@ class TestDifferentialHistogram:
         got = fp.batch_histogram(trace, max_depth=8, boundaries=[1, 8])
         assert got.counts == ref.counts and got.cold_misses == ref.cold_misses
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        trace=st.lists(st.integers(min_value=0, max_value=40), max_size=300),
-        depth=st.integers(min_value=1, max_value=24),
-    )
-    def test_property_exact_matches_fenwick(self, trace, depth):
-        fenwick = FenwickLRUStack(depth, capacity=64)
-        want = {}
-        cold = 0
-        for line in trace:
-            distance = fenwick.access(line)
-            if distance == COLD_MISS:
-                cold += 1
-            else:
-                want[distance] = want.get(distance, 0) + 1
-        got = fp.batch_histogram(trace, max_depth=depth, quantize=False)
-        assert got.counts == want
-        assert got.cold_misses == cold
-
-    def test_exact_rejects_boundaries(self):
-        with pytest.raises(ValueError):
-            fp.batch_histogram([1, 2], max_depth=4, quantize=False,
-                               boundaries=[2])
+    #: Every consumer that quantizes to boundaries, by engine name.
+    BOUNDARY_CONSUMERS = {
+        "rangelist": lambda depth, bounds: RangeListLRUStack(
+            depth, boundaries=bounds
+        ),
+        "batch": lambda depth, bounds: fp.batch_histogram(
+            [1], max_depth=depth, boundaries=bounds
+        ),
+        "shards": lambda depth, bounds: ShardsEstimator(
+            depth, boundaries=bounds
+        ),
+    }
 
     def test_bad_boundaries_rejected(self):
-        with pytest.raises(ValueError):
-            fp.batch_histogram([1], max_depth=4, boundaries=[0, 2])
-        with pytest.raises(ValueError):
-            fp.batch_histogram([1], max_depth=4, boundaries=[8])
+        # Every quantizing consumer resolves boundaries through the one
+        # normalizer, so they reject the same inputs with one message.
+        for depth, bounds, message in [
+            (0, None, "max_depth must be positive"),
+            (4, [0, 2], "boundaries must be positive depths"),
+            (4, [], "boundaries must be positive depths"),
+            (4, [8], "boundaries cannot exceed max_depth"),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                normalize_boundaries(depth, bounds)
+            assert str(excinfo.value) == message
+            for name, consume in self.BOUNDARY_CONSUMERS.items():
+                with pytest.raises(ValueError) as excinfo:
+                    consume(depth, bounds)
+                assert str(excinfo.value) == message, name
+
+    def test_boundaries_completed_identically(self):
+        assert normalize_boundaries(8, [4, 2, 4]) == [2, 4, 8]
+        assert normalize_boundaries(8, None) == [8]
+        assert RangeListLRUStack(8, boundaries=[4, 2]).boundaries == [2, 4, 8]
+        assert ShardsEstimator(8, boundaries=[4, 2]).boundaries == [2, 4, 8]
 
 
 class TestWarmupParity:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.mrc import mpki_distance
 from repro.core.rapidmrc import ProbeConfig, RapidMRC, RapidMRCResult
+from repro.core.stack import STACK_ENGINES
 from repro.core.warmup import HybridWarmup, NoWarmup, StaticWarmup
 from repro.sim.machine import MachineConfig
 
@@ -21,6 +22,20 @@ def looping_trace(lines, repeats, start=0):
 
 
 class TestProbeConfig:
+    def test_default_engine_is_batch(self):
+        assert ProbeConfig().stack_engine == "batch"
+
+    def test_unknown_engine_rejected_at_construction(self):
+        with pytest.raises(ValueError) as excinfo:
+            ProbeConfig(stack_engine="fenwick")
+        message = str(excinfo.value)
+        assert "'fenwick'" in message
+        for name in STACK_ENGINES:
+            assert name in message
+        assert set(STACK_ENGINES) == {
+            "naive", "rangelist", "batch", "shards", "aet",
+        }
+
     def test_default_log_size_is_ten_x_stack(self, machine):
         assert ProbeConfig().resolved_log_entries(machine) == 10 * machine.l2_lines
 
@@ -109,14 +124,14 @@ class TestCompute:
     def test_engines_agree(self, machine):
         trace = [random.Random(3).randrange(2000) for _ in range(4000)]
         results = {}
-        for engine_name in ("rangelist", "fenwick", "naive"):
+        for engine_name in ("rangelist", "batch", "naive"):
             engine = RapidMRC(
                 machine,
                 ProbeConfig(warmup="static", stack_engine=engine_name),
             )
             results[engine_name] = engine.compute(trace, instructions=100_000).mrc
         assert mpki_distance(results["rangelist"], results["naive"]) == pytest.approx(0.0)
-        assert mpki_distance(results["fenwick"], results["naive"]) == pytest.approx(0.0)
+        assert dict(results["batch"]) == dict(results["rangelist"])
 
 
 class TestCalibration:

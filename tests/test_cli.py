@@ -99,30 +99,63 @@ class TestExecution:
 
 
 class TestFastPath:
-    def test_probe_fast_flag_parsed(self):
-        args = build_parser().parse_args(["probe", "mcf", "--fast",
-                                          "--workers", "2"])
-        assert args.fast is True
-        assert args.workers == 2
+    """The batch engine is the default calculation path; no flag selects it."""
 
-    def test_probe_fast_runs(self, capsys):
-        assert main(["--scale", "32", "probe", "crafty", "--fast"]) == 0
+    def test_fast_flag_removed(self):
+        for argv in (
+            ["probe", "mcf", "--fast"],
+            ["partition", "mcf", "art", "--fast"],
+            ["analyze", "trace.txt", "--fast"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
+
+    def test_probe_fast_runs(self, capsys, monkeypatch):
+        import repro.core.stack as stack
+
+        calls = []
+        original = stack.batch_histogram
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stack, "batch_histogram", counting)
+        assert main(["--scale", "32", "probe", "crafty"]) == 0
         out = capsys.readouterr().out
         assert "rapidmrc" in out
+        assert calls == [1]
 
     def test_analyze_fast_matches_scalar(self, capsys, tmp_path):
-        from repro.io.tracefile import save_trace
+        import random
 
+        from repro.analysis.report import render_curves
+        from repro.core.rapidmrc import ProbeConfig, RapidMRC
+        from repro.io.tracefile import save_trace
+        from repro.sim.machine import MachineConfig
+
+        rng = random.Random(5)
+        trace = [rng.randrange(700)]
+        for _ in range(4999):
+            # Stale repeats exercise the correction stage as well.
+            trace.append(trace[-1] if rng.random() < 0.15
+                         else rng.randrange(700))
         path = str(tmp_path / "trace.txt")
-        save_trace(path, list(range(100)) * 30)
+        save_trace(path, trace)
         assert main(["--scale", "32", "analyze", path,
                      "--format", "native"]) == 0
-        scalar_out = capsys.readouterr().out
-        assert main(["--scale", "32", "analyze", path,
-                     "--format", "native", "--fast"]) == 0
-        fast_out = capsys.readouterr().out
-        # Identical curves, identical rendering: bit-identical fast path.
-        assert fast_out == scalar_out
+        out = capsys.readouterr().out
+        # The default (batch) engine renders exactly what the paper's
+        # range-list engine computes on the same file.
+        reference = RapidMRC(
+            MachineConfig.scaled(32), ProbeConfig(stack_engine="rangelist")
+        ).compute(trace, 48 * len(trace), label=path)
+        assert render_curves({"mrc": reference.mrc}) in out
+        assert (f"stack hit rate {reference.stack_hit_rate:.1%}, "
+                f"warmup {reference.warmup_fraction:.0%}, "
+                f"repaired {reference.prefetch_conversion_fraction:.1%}"
+                in out)
 
     def test_sim_engine_values(self, capsys):
         """``native`` and ``scalar`` probes agree; ``batch`` is no
@@ -130,7 +163,7 @@ class TestFastPath:
         ``--sim-engine`` at all."""
         outs = []
         for engine in ("native", "scalar"):
-            assert main(["--scale", "32", "probe", "crafty", "--fast",
+            assert main(["--scale", "32", "probe", "crafty",
                          "--sim-engine", engine]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0].replace("native engine", "scalar engine") == outs[1]
@@ -161,7 +194,7 @@ class TestTelemetry:
 
     def test_probe_then_report(self, capsys, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        assert main(["--scale", "32", "probe", "crafty", "--fast",
+        assert main(["--scale", "32", "probe", "crafty",
                      "--telemetry", path]) == 0
         capsys.readouterr()
         assert main(["obs", "report", path]) == 0
@@ -172,10 +205,10 @@ class TestTelemetry:
         assert "pmu.probes = 1" in out
 
     def test_probe_output_identical_with_telemetry(self, capsys, tmp_path):
-        assert main(["--scale", "32", "probe", "crafty", "--fast"]) == 0
+        assert main(["--scale", "32", "probe", "crafty"]) == 0
         plain = capsys.readouterr().out
         path = str(tmp_path / "run.jsonl")
-        assert main(["--scale", "32", "probe", "crafty", "--fast",
+        assert main(["--scale", "32", "probe", "crafty",
                      "--telemetry", path]) == 0
         observed = capsys.readouterr().out
         assert observed == plain
@@ -310,11 +343,11 @@ class TestMrcCache:
 
     def test_probe_cold_then_warm(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")
-        assert main(["--scale", "32", "probe", "crafty", "--fast",
+        assert main(["--scale", "32", "probe", "crafty",
                      "--mrc-cache", path]) == 0
         cold = capsys.readouterr().out
         assert "cached under crafty@" in cold
-        assert main(["--scale", "32", "probe", "crafty", "--fast",
+        assert main(["--scale", "32", "probe", "crafty",
                      "--mrc-cache", path]) == 0
         warm = capsys.readouterr().out
         assert "cache hit: crafty@" in warm
@@ -323,10 +356,10 @@ class TestMrcCache:
 
     def test_no_reuse_probes_again(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")
-        assert main(["--scale", "32", "probe", "crafty", "--fast",
+        assert main(["--scale", "32", "probe", "crafty",
                      "--mrc-cache", path]) == 0
         capsys.readouterr()
-        assert main(["--scale", "32", "probe", "crafty", "--fast",
+        assert main(["--scale", "32", "probe", "crafty",
                      "--mrc-cache", path, "--no-mrc-reuse"]) == 0
         out = capsys.readouterr().out
         assert "cache hit" not in out
@@ -335,11 +368,11 @@ class TestMrcCache:
     def test_partition_reuses_probe_cache(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")
         assert main(["--scale", "32", "partition", "crafty", "gzip",
-                     "--fast", "--mrc-cache", path]) == 0
+                     "--mrc-cache", path]) == 0
         cold = capsys.readouterr().out
         assert "mrc cache saved" in cold
         assert main(["--scale", "32", "partition", "crafty", "gzip",
-                     "--fast", "--mrc-cache", path]) == 0
+                     "--mrc-cache", path]) == 0
         warm = capsys.readouterr().out
         assert "cache hit: crafty@" in warm
         assert "cache hit: gzip@" in warm
