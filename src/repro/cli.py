@@ -196,7 +196,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         report = parse_perf_script(args.trace, events=args.event, pid=args.pid)
         trace = samples_to_lines(report.samples, machine.line_size)
         print(f"# parsed {len(report.samples)} samples "
-              f"({report.skipped_lines} lines skipped)")
+              f"({report.skipped_lines} lines skipped; parser: "
+              f"{report.grammar_lines} grammar, "
+              f"{report.token_lines} tokens)")
     else:
         trace = load_trace(args.trace)
         print(f"# loaded {len(trace)} trace entries")

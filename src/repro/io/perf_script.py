@@ -12,12 +12,20 @@ is anchored on the two stable features instead of fixed columns:
   never shadow a real address such as ``ffff8800deadbeef``).
 
 Everything before the event is treated as ``comm [pid] [cpu] [time]``
-best-effort metadata.  Typical accepted lines::
+best-effort metadata; the comm is every token before the pid, since
+perf pads it with ``%16s`` and it may contain spaces.  Typical accepted
+lines::
 
     mcf  1234 [002] 12345.678901:  mem-loads:  ffff8800deadbeef ...
     mcf 1234/1234 4021.662435: cpu/mem-loads,ldlat=30/P: 7f2c10a040
     swim 77 mem-stores: 0x7fffdeadbeef
     mcf 1234 12345.678901: mem-loads: 1 ffff8800deadbeef
+
+The canonical layouts, ``comm pid[/tid] [[cpu]] [time:] [period] event:
+0xADDR ...`` and ``... event: BAREHEX`` with the bare hex last (the
+second and third lines above), are matched by one compiled whole-line
+grammar.  Every other line goes to the token parser, which is the
+reference and gives the same sample on any line the grammar accepts.
 
 Lines that cannot be parsed are skipped (counted) unless ``strict``.
 Lines dropped by the ``events``/``pid`` filters are counted separately
@@ -26,9 +34,14 @@ from parse failures (``filtered_events`` / ``filtered_pids``).
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Union
+from dataclasses import dataclass
+from typing import (
+    Dict, Iterable, List, NamedTuple, Optional, Sequence, TextIO, Union,
+)
+
+from repro.obs import get_telemetry
 
 __all__ = [
     "PerfSample",
@@ -46,9 +59,27 @@ _HEX_RE = re.compile(r"^(0x)?[0-9a-fA-F]+$")
 _PREFIXED_HEX_RE = re.compile(r"^0x[0-9a-fA-F]+$")
 _PID_RE = re.compile(r"^(\d+)(?:/\d+)?$")
 
+#: The canonical layouts as one whole-line grammar, tried before the
+#: token parser: ``comm pid[/tid] [[cpu]] [time:] [period] event: ADDR``,
+#: where ADDR is a ``0x`` token (anything may follow it) or a bare-hex
+#: token ending the line.  It accepts only lines on which
+#: :func:`_parse_line` gives the same sample: one colon-free comm token,
+#: ASCII digits, an event stem that is not a timestamp, and the address
+#: token the address heuristic would pick.  Every other line (spaced or
+#: colon-bearing comms, extra columns, bare hex followed by more tokens)
+#: goes to the token parser.
+_LINE_RE = re.compile(
+    r"(?P<comm>[^\s:]+)\s+(?P<pid>[0-9]+)(?:/[0-9]+)?"
+    r"(?:\s+\[[0-9]+\])?"
+    r"(?:\s+(?P<time>[0-9]+\.[0-9]+):)?"
+    r"(?:\s+[0-9]+)?"
+    r"\s+(?!\d+\.\d+:)(?P<event>[\w\-./,=@]+):"
+    r"\s+(?:0x(?P<hex>[0-9a-fA-F]+)(?:\s.*)?|(?P<bare>[0-9a-fA-F]+))\Z",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class PerfSample:
+
+class PerfSample(NamedTuple):
     """One parsed sample: who touched which data address."""
 
     comm: str
@@ -73,11 +104,19 @@ class ParseReport:
     total_lines: int
     filtered_events: int = 0
     filtered_pids: int = 0
+    #: Parsed lines the line grammar did not cover, resolved by the
+    #: token parser instead.
+    token_lines: int = 0
 
     @property
     def parsed_lines(self) -> int:
         """Lines that yielded a sample before any filtering."""
         return self.total_lines - self.skipped_lines
+
+    @property
+    def grammar_lines(self) -> int:
+        """Parsed lines resolved by the compiled line grammar."""
+        return self.parsed_lines - self.token_lines
 
     def skipped_fraction(self) -> float:
         if self.total_lines == 0:
@@ -106,7 +145,19 @@ def _find_address(tokens: Sequence[str]) -> Optional[int]:
     return int(widest, 16)
 
 
+def _match_line(line: str) -> Optional[PerfSample]:
+    """The sample of a line in a canonical layout (``_LINE_RE``), or
+    ``None`` when the grammar does not cover the line."""
+    match = _LINE_RE.match(line)
+    if match is None:
+        return None
+    comm, pid, time, event, prefixed, bare = match.groups()
+    return PerfSample(comm, int(pid), event, int(prefixed or bare, 16),
+                      None if time is None else float(time))
+
+
 def _parse_line(line: str) -> Optional[PerfSample]:
+    """The reference parser: any layout, one token at a time."""
     tokens = line.split()
     if not tokens:
         return None
@@ -132,14 +183,23 @@ def _parse_line(line: str) -> Optional[PerfSample]:
         return None
     event = tokens[event_index].rstrip(":")
 
-    comm = tokens[0] if event_index > 0 else ""
+    # perf pads comm with %16s and comm may itself contain spaces, so
+    # the comm is every token before the pid (just the first token when
+    # there is no pid); the time is the last float colon-token after it.
     pid = None
-    time = None
-    for token in tokens[1:event_index]:
-        pid_match = _PID_RE.match(token)
-        if pid is None and pid_match:
+    pid_index = 0
+    for index in range(1, event_index):
+        pid_match = _PID_RE.match(tokens[index])
+        if pid_match:
             pid = int(pid_match.group(1))
-            continue
+            pid_index = index
+            break
+    if pid is not None:
+        comm = " ".join(tokens[:pid_index])
+    else:
+        comm = tokens[0] if event_index > 0 else ""
+    time = None
+    for token in tokens[pid_index + 1:event_index]:
         if token.endswith(":"):
             stamp = token.rstrip(":")
             try:
@@ -150,15 +210,20 @@ def _parse_line(line: str) -> Optional[PerfSample]:
 
 
 def parse_perf_script(
-    source: Union[str, TextIO, Iterable[str]],
+    source: Union[str, os.PathLike, TextIO, Iterable[str]],
     events: Optional[Sequence[str]] = None,
     pid: Optional[int] = None,
     strict: bool = False,
 ) -> ParseReport:
     """Parse a perf-script text trace.
 
+    Each line is matched against the compiled line grammar first; lines
+    it does not cover go to the token parser, which handles every
+    layout.  Both give the same sample for any line the grammar accepts.
+
     Args:
-        source: a file path, an open text file, or an iterable of lines.
+        source: a file path (``str`` or ``os.PathLike``), an open text
+            file, or an iterable of lines.
         events: keep only samples whose event name contains one of these
             substrings (e.g. ``["mem-loads"]``); ``None`` keeps all.
         pid: keep only samples of this pid.
@@ -166,7 +231,7 @@ def parse_perf_script(
             non-comment line instead of skipping it.
     """
     close_after = False
-    if isinstance(source, str):
+    if isinstance(source, (str, os.PathLike)):
         # perf script output is ASCII, but comm fields can carry
         # arbitrary bytes; decode permissively instead of crashing on
         # one exotic process name.
@@ -178,17 +243,23 @@ def parse_perf_script(
         filtered_events = 0
         filtered_pids = 0
         total = 0
+        token_lines = 0
         for raw in source:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             total += 1
-            sample = _parse_line(line)
+            sample = _match_line(line)
             if sample is None:
-                if strict:
-                    raise ValueError(f"unparseable perf-script line: {line!r}")
-                skipped += 1
-                continue
+                sample = _parse_line(line)
+                if sample is None:
+                    if strict:
+                        raise ValueError(
+                            f"unparseable perf-script line: {line!r}"
+                        )
+                    skipped += 1
+                    continue
+                token_lines += 1
             if events is not None and not any(
                 key in sample.event for key in events
             ):
@@ -198,16 +269,25 @@ def parse_perf_script(
                 filtered_pids += 1
                 continue
             samples.append(sample)
-        return ParseReport(
+        report = ParseReport(
             samples=samples,
             skipped_lines=skipped,
             total_lines=total,
             filtered_events=filtered_events,
             filtered_pids=filtered_pids,
+            token_lines=token_lines,
         )
     finally:
         if close_after:
             source.close()
+    telemetry = get_telemetry()
+    if telemetry.enabled:
+        registry = telemetry.registry
+        registry.counter("io.parse_lines", parser="grammar").inc(
+            report.grammar_lines
+        )
+        registry.counter("io.parse_lines", parser="tokens").inc(token_lines)
+    return report
 
 
 def samples_to_lines(

@@ -1,15 +1,20 @@
 """Tests for the perf-script trace parser."""
 
 import io
+import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.io.perf_script import (
     PerfSample,
+    _match_line,
+    _parse_line,
     parse_perf_script,
     samples_to_lines,
     split_by_pid,
 )
+from repro.obs import Telemetry, use_telemetry
 
 CLASSIC = """\
 # captured with: perf mem record ./mcf
@@ -75,6 +80,58 @@ class TestParsing:
         path.write_text(CLASSIC)
         report = parse_perf_script(str(path))
         assert len(report.samples) == 3
+
+    def test_from_pathlike(self, tmp_path):
+        # Used to raise "'PosixPath' object is not iterable".
+        path = tmp_path / "trace.txt"
+        path.write_text(CLASSIC)
+        report = parse_perf_script(pathlib.Path(path))
+        assert report.samples == parse_perf_script(str(path)).samples
+        assert len(report.samples) == 3
+
+
+class TestCommNames:
+    """Regressions for the cut-short comm bug: perf pads comm with %16s
+    and comm may contain spaces, but only the first token was kept."""
+
+    def test_multi_word_comm(self):
+        report = parse_perf_script(
+            io.StringIO("Web Content 1234 [001] 10.5: mem-loads: 0x7f00aa\n")
+        )
+        assert report.samples == [
+            PerfSample("Web Content", 1234, "mem-loads", 0x7F00AA, 10.5)
+        ]
+        # The grammar covers one-token comms only; the token parser
+        # resolved this line.
+        assert report.token_lines == 1
+
+    def test_padded_multi_word_comm_joins_with_one_space(self):
+        sample = _parse_line("  Isolated  Web Co 77/78 mem-stores: 0x10")
+        assert sample.comm == "Isolated Web Co"
+        assert sample.pid == 77
+
+    def test_comm_without_pid_is_first_token(self):
+        sample = _parse_line("swim 1.5: mem-loads: 0x10")
+        assert sample.comm == "swim"
+        assert sample.pid is None
+        assert sample.time == 1.5
+
+
+class TestPerfSample:
+    def test_positional_and_keyword_construction(self):
+        positional = PerfSample("a", 1, "mem-loads", 0x100)
+        keyword = PerfSample(comm="a", pid=1, event="mem-loads",
+                             address=0x100)
+        assert positional == keyword
+        assert positional.time is None
+        assert PerfSample._fields == (
+            "comm", "pid", "event", "address", "time"
+        )
+
+    def test_immutable(self):
+        sample = PerfSample("a", 1, "mem-loads", 0x100, 2.5)
+        with pytest.raises(AttributeError):
+            sample.address = 0
 
 
 class TestAddressHeuristic:
@@ -230,3 +287,169 @@ class TestConversion:
         mrc = engine.compute(trace, instructions=48 * len(trace)).mrc
         assert mrc[1] > 0
         assert mrc[2] == pytest.approx(0.0)
+
+
+# -- the line grammar against the token parser --------------------------------
+
+#: Each field of a line as (canonical values, perturbed values).
+_SEPARATORS = ([" ", "  "], ["\t", " \t ", "\u3000", "\x1c", "\xa0", "\u2003"])
+_COMMS = (["mcf", "fitter", "perf-exec"],
+          ["Web Content", "kworker/0:1", "foo:", "1234", "m\u00e9",
+           "\u0663", "a b c", ""])
+_PIDS = (["1234", "77/78", "4101/4101"],
+         ["\u0661\u0662", "1234:", "x1", ""])
+_CPUS = (["[002]", "[000]", ""], ["[x]", "[\u0661]"])
+_TIMES = (["12345.678901:", "4021.000003:", "1.5:", ""],
+          ["12:", "nan:", "\u0661.\u0665:", "1.5.2:", "1e3:"])
+_PERIODS = (["1", ""], ["153 28", "0x1", "1.5"])
+_EVENTS = (["mem-loads:", "mem-stores:", "cpu/mem-loads,ldlat=30/P:"],
+           ["1.5:", "\u0661.\u0665:", "1.5.2:", "mem-loads", "ev@x=1:",
+            "mem loads:", "\u0661:"])
+_ADDRESSES = (["0xdeadbeef", "0xABC0", "deadbeef", "ffff8800deadbeef", "0"],
+              ["0x", "0x1fg", "0xdead:beef", "abc def", "1 ffff8800deadbeef",
+               "0x1f 0x2", "ffff_1", "g00", "0x\u0661", "\u0661\u0662", ""])
+_TRAILERS = ([""], ["level hit", "ffffffffffffffffdead", "0x1",
+                    "mem-stores: 0x2", "1.5:"])
+#: Characters a single-character perturbation inserts.
+_NOISE = "0123456789abcfx:./[]- \t#\u0661\u3000\x85"
+
+
+def _field(draw, choices):
+    """A canonical value four times in five, else a perturbed one."""
+    canonical, perturbed = choices
+    pool = canonical if draw(st.integers(0, 4)) else perturbed
+    return draw(st.sampled_from(pool))
+
+
+@st.composite
+def perf_lines(draw):
+    """A perf-script line from the canonical layouts, perturbed."""
+    fields = [_field(draw, choices) for choices in (
+        _COMMS, _PIDS, _CPUS, _TIMES, _PERIODS, _EVENTS, _ADDRESSES,
+        _TRAILERS,
+    )]
+    if draw(st.booleans()):
+        fields[0] = fields[0].rjust(16)
+    line = ""
+    for value in fields:
+        if value:
+            line += (_field(draw, _SEPARATORS) if line else "") + value
+    if not draw(st.integers(0, 3)):
+        position = draw(st.integers(0, len(line)))
+        if draw(st.booleans()):
+            line = (line[:position] + draw(st.sampled_from(_NOISE))
+                    + line[position:])
+        else:
+            line = line[:position] + line[position + 1:]
+    return line
+
+
+class TestGrammarDifferential:
+    """The compiled line grammar is a fast path only: whatever line it
+    accepts must parse to exactly the token parser's sample."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(perf_lines())
+    def test_grammar_agrees_with_token_parser(self, line):
+        for candidate in (line, line.strip()):
+            sample = _match_line(candidate)
+            if sample is not None:
+                assert sample == _parse_line(candidate)
+
+    @pytest.mark.parametrize("line", [
+        "mcf  1234 [002] 12345.678901:  mem-loads:  ffff8800deadbe00",
+        "mcf 1234/1234 4021.662435: cpu/mem-loads,ldlat=30/P: 7f2c10a040",
+        "fitter 4101 [000] 4021.000003:  1 mem-loads:  0x7f0012345678",
+        "swim 77 mem-stores: 0x7fffdeadbeef level hit",
+        "app 1 1.0: mem-loads: 0",
+    ])
+    def test_canonical_layouts_take_the_grammar(self, line):
+        sample = _match_line(line)
+        assert sample is not None
+        assert sample == _parse_line(line)
+
+    @pytest.mark.parametrize("line", [
+        # spaced comm, colon comm, Unicode digits, time-like event,
+        # bare hex with trailing tokens, width-tied hex, no pid
+        "Web Content 1234 [001] 10.5: mem-loads: 0x7f00aa",
+        "kworker/0:1 12 mem-loads: 0x10",
+        "mcf \u0661\u0662 mem-loads: 0x10",
+        "mcf 12 1.5: 0x10",
+        "mcf 1234 mem-loads: ffff8800deadbe00 level hit",
+        "mcf 1234 mem-loads: abc def",
+        "mcf 1234 mem-loads: 0x1fg",
+        "swim 1.5: mem-loads: 0x10",
+    ])
+    def test_grammar_refuses_other_layouts(self, line):
+        assert _match_line(line) is None
+
+
+def _line_by_line(lines, events=None, pid=None, strict=False):
+    """The whole-file contract restated with the token parser alone."""
+    samples = []
+    skipped = filtered_events = filtered_pids = total = token_lines = 0
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        total += 1
+        sample = _parse_line(line)
+        if sample is None:
+            if strict:
+                raise ValueError(line)
+            skipped += 1
+            continue
+        if _match_line(line) is None:
+            token_lines += 1
+        if events is not None and not any(key in sample.event
+                                          for key in events):
+            filtered_events += 1
+            continue
+        if pid is not None and sample.pid != pid:
+            filtered_pids += 1
+            continue
+        samples.append(sample)
+    return samples, skipped, total, filtered_events, filtered_pids, token_lines
+
+
+class TestWholeFileDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(
+            st.one_of(perf_lines(), st.sampled_from(["", "# comment", "  "])),
+            max_size=25,
+        ),
+        events=st.sampled_from([None, ["mem-loads"], ["mem-"], ["nothing"]]),
+        pid=st.sampled_from([None, 1234, 77, 12]),
+        strict=st.booleans(),
+    )
+    def test_parse_equals_token_parser_pass(self, lines, events, pid, strict):
+        try:
+            expected = _line_by_line(lines, events, pid, strict)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_perf_script(lines, events=events, pid=pid,
+                                  strict=strict)
+            return
+        report = parse_perf_script(lines, events=events, pid=pid,
+                                   strict=strict)
+        assert (report.samples, report.skipped_lines, report.total_lines,
+                report.filtered_events, report.filtered_pids,
+                report.token_lines) == expected
+
+
+class TestParserSplit:
+    def test_counter_records_which_parser_ran(self):
+        lines = CLASSIC.splitlines() + [
+            "Web Content 1234 [001] 10.5: mem-loads: 0x7f00aa",
+            "not a perf line at all",
+        ]
+        telemetry = Telemetry.in_memory()
+        with use_telemetry(telemetry):
+            report = parse_perf_script(lines)
+        # CLASSIC's first line has tokens after its bare-hex address.
+        assert (report.grammar_lines, report.token_lines,
+                report.skipped_lines) == (2, 2, 1)
+        registry = telemetry.registry
+        assert registry.counter("io.parse_lines", parser="grammar").value == 2
+        assert registry.counter("io.parse_lines", parser="tokens").value == 2

@@ -71,9 +71,23 @@ class TestExecution:
         out_path = str(tmp_path / "curve.json")
         assert main(["--scale", "32", "analyze", str(trace),
                      "--output", out_path]) == 0
+        out = capsys.readouterr().out
+        assert ("parsed 2000 samples (0 lines skipped; parser: "
+                "2000 grammar, 0 tokens)") in out
         curve, metadata = load_mrc(out_path)
         assert curve.num_points == 16
         assert metadata["machine"] == "POWER5/32"
+
+    def test_analyze_reports_parser_split(self, capsys, tmp_path):
+        trace = tmp_path / "perf.txt"
+        lines = [f"app 1 {i / 1e6:.6f}: mem-loads: {(i % 50) * 128:x}"
+                 for i in range(600)]
+        lines += ["Web Content 7 mem-loads: 0x80", "garbage"]
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["--scale", "32", "analyze", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert ("parsed 601 samples (1 lines skipped; parser: "
+                "600 grammar, 1 tokens)") in out
 
     def test_analyze_empty_trace_fails(self, capsys, tmp_path):
         trace = tmp_path / "empty.txt"
