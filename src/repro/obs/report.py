@@ -290,6 +290,20 @@ class RunReport:
             rates = self.accesses_per_sec()
             if "" in rates:
                 out(f"batched throughput: {rates['']:,.0f} accesses/s")
+            stops = self.counter_by_label("sim.native_stops", "reason")
+            if stops:
+                out("native stops: " + " ".join(
+                    f"{reason}={count}" for reason, count in sorted(
+                        stops.items()
+                    )
+                ))
+            syncs = self.counter_by_label("sim.session_syncs", "kind")
+            if syncs:
+                sync_ns = self.counter_by_label("sim.session_sync_ns", "kind")
+                out("session syncs: " + " ".join(
+                    f"{kind}={count} ({sync_ns.get(kind, 0) / 1e6:.1f} ms)"
+                    for kind, count in sorted(syncs.items())
+                ))
         elif fallbacks != "none":
             out(f"simulation engine: scalar (fallbacks: {fallbacks})")
         else:

@@ -18,11 +18,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.runner.driver import Process
 from repro.sim.cpu import IssueMode
-from repro.sim.fastsim import NativeCorun, count_fallback, fallback_reason
+from repro.sim.fastsim import (
+    NativeCorun,
+    collector_covered,
+    count_fallback,
+    fallback_reason,
+)
 from repro.sim.hierarchy import AccessResult, MemoryHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.memory import PageAllocator
@@ -30,7 +35,8 @@ from repro.sim.prefetcher import PrefetcherConfig
 from repro.workloads.base import Workload
 
 __all__ = [
-    "CorunScheduler", "CorunSpec", "CorunResult", "corun", "normalized_ipc",
+    "CorunScheduler", "CorunSpec", "CorunResult", "LegMonitor", "corun",
+    "normalized_ipc",
 ]
 
 
@@ -63,6 +69,37 @@ class CorunResult:
         return self.ipc[index]
 
 
+class LegMonitor(Protocol):
+    """A per-access hook the native engine can run ahead of.
+
+    The scalar heap calls :meth:`on_step` after every access.  The
+    native engine instead runs each process up to the access count
+    :meth:`stop_counts` names (or until its collector's log fills),
+    feeding :meth:`collectors` and charging ``exception_cost_cycles``
+    per PMU exception in C.  It then reports what every process ran
+    through :meth:`credit` and calls :meth:`on_stop` once for the
+    stopping access.  ``stop_counts`` also names what each stop is for
+    (``interval``, ``probe``, ...), the label ``sim.native_stops``
+    counts it under.  The monitor guarantees the two are equivalent:
+    every access before a stop is one whose ``on_step`` would only have
+    fed the collector, charged its exceptions and counted instructions.
+    """
+
+    exception_cost_cycles: float
+
+    def on_step(self, index: int, result: AccessResult) -> None: ...
+
+    def collectors(self) -> Sequence[object]: ...
+
+    def stop_counts(
+        self, quota_at: Sequence[int]
+    ) -> Tuple[List[int], List[str]]: ...
+
+    def credit(self, executed: Sequence[int]) -> None: ...
+
+    def on_stop(self, index: int) -> None: ...
+
+
 class CorunScheduler:
     """The one cycle-fair interleave of time-shared processes.
 
@@ -72,10 +109,16 @@ class CorunScheduler:
     fleet service) drive their processes through this object.
 
     The engine is chosen once.  A ``sim_engine="native"`` machine whose
-    every process the compiled engine covers runs unhooked legs inside
-    one C call (:class:`~repro.sim.fastsim.NativeCorun`); anything else
-    runs the scalar heap, with the fallback reason counted as
+    every process the compiled engine covers runs its legs inside C
+    (:class:`~repro.sim.fastsim.NativeCorun`): unhooked legs in one
+    call, monitored legs (a :class:`LegMonitor`) stop by stop.  Anything
+    else runs the scalar heap, with the fallback reason counted as
     ``sim.batch_fallbacks{reason}``.  Both orders are bit-identical.
+
+    The native session stays adopted across legs: between legs Python
+    owns only the processes' clocks and core counters, so an owner that
+    touches anything else of the simulated machine (caches, page
+    tables, prefetchers, the allocator) calls :meth:`release` first.
     """
 
     def __init__(self, processes: Sequence[Process],
@@ -98,10 +141,19 @@ class CorunScheduler:
         """True once :meth:`start_window` opened a measurement window."""
         return self._cycle_base is not None
 
+    def release(self) -> None:
+        """Commit the native session's state to the Python objects and
+        drop it (no-op when none is held)."""
+        runner = self._native_runner
+        if runner is not None:
+            self._native_runner = None
+            runner.release()
+
     def run_until(
         self,
         target_extra: int,
         on_step: Optional[Callable[[int, AccessResult], None]] = None,
+        monitor: Optional[LegMonitor] = None,
     ) -> None:
         """Interleave until one process executes ``target_extra`` more
         accesses than it had when this call began.
@@ -109,25 +161,92 @@ class CorunScheduler:
         ``on_step(index, result)`` runs after every access, before the
         quota check; the stepped process re-enters the schedule at its
         post-hook clock, so cycles the hook charges (PMU exceptions,
-        page migrations) delay its next turn.  A hooked leg always runs
-        the scalar heap: the engine cannot run ahead of Python hooks.
+        page migrations) delay its next turn.  A hooked leg runs the
+        scalar heap: the engine cannot run ahead of arbitrary Python.
+        A ``monitor`` is the hook in a form the engine can run ahead
+        of: its scalar ``on_step`` and its native stops are equivalent.
         """
         start = [p.accesses for p in self.processes]
-        if self._native and on_step is not None:
-            count_fallback("observer")
-        elif self._native:
-            if self._native_runner is None:
-                self._native_runner = NativeCorun(
-                    self.processes, self.hierarchy
-                )
-            if self._native_runner.run_until(start, target_extra):
-                return
-            # A chunk the native engine cannot simulate: its state is
-            # committed and no process has reached its quota yet, so the
-            # scalar heap below continues the leg access-exactly.  Stay
-            # off the native path from here on.
-            self._native = False
-            count_fallback("vaddr")
+        if monitor is not None:
+            on_step = monitor.on_step
+        try:
+            if self._native:
+                if monitor is not None:
+                    if self._run_monitored(start, target_extra, monitor):
+                        return
+                elif on_step is not None:
+                    count_fallback("observer")
+                elif self._run_native(start, target_extra):
+                    return
+            # The scalar heap below needs the live Python state.
+            self.release()
+            self._run_scalar(start, target_extra, on_step)
+        finally:
+            if self._native_runner is not None:
+                self._native_runner.flush_telemetry()
+
+    def _runner(self) -> NativeCorun:
+        if self._native_runner is None:
+            self._native_runner = NativeCorun(self.processes, self.hierarchy)
+        return self._native_runner
+
+    def _run_native(self, start: List[int], target_extra: int) -> bool:
+        """An unhooked leg in one C call; False on a ``vaddr`` bail."""
+        runner = self._runner()
+        index, _log_full = runner.run([s + target_extra for s in start])
+        if index < 0:
+            return self._bail()
+        runner.note_stop("quota")
+        return True
+
+    def _run_monitored(self, start: List[int], target_extra: int,
+                       monitor: LegMonitor) -> bool:
+        """A monitored leg on the native engine, one stop at a time.
+
+        Returns False when the rest of the leg must run on the scalar
+        heap: a collector the engine does not cover (``observer``) or a
+        chunk it cannot simulate (``vaddr``).  Either way every access
+        so far has had its monitor logic run, so the heap continues the
+        leg access-exactly.
+        """
+        processes = self.processes
+        quota_at = [s + target_extra for s in start]
+        while True:
+            collectors = monitor.collectors()
+            if not all(c is None or collector_covered(c)
+                       for c in collectors):
+                count_fallback("observer")
+                return False
+            runner = self._runner()
+            stops, reasons = monitor.stop_counts(quota_at)
+            before = [p.accesses for p in processes]
+            index, log_full = runner.run(
+                stops, collectors, monitor.exception_cost_cycles
+            )
+            monitor.credit(
+                [p.accesses - b for p, b in zip(processes, before)]
+            )
+            if index < 0:
+                return self._bail()
+            runner.note_stop("done" if log_full else reasons[index])
+            monitor.on_stop(index)
+            if processes[index].accesses >= quota_at[index]:
+                return True
+
+    def _bail(self) -> bool:
+        # A chunk the native engine cannot simulate: no process has
+        # reached its quota yet, so the scalar heap continues the leg
+        # access-exactly.  Stay off the native path from here on.
+        self._native = False
+        count_fallback("vaddr")
+        return False
+
+    def _run_scalar(
+        self,
+        start: List[int],
+        target_extra: int,
+        on_step: Optional[Callable[[int, AccessResult], None]],
+    ) -> None:
         processes = self.processes
         hierarchy = self.hierarchy
         steps = [p.step for p in processes]

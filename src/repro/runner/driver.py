@@ -15,7 +15,6 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from repro.sim.cpu import CostModel, IssueMode
 from repro.sim.fastsim import (
-    DEFAULT_SLAB,
     CollectorStop,
     count_fallback,
     drive_native,
@@ -207,7 +206,7 @@ def drive_batch(
     num_accesses: int,
     observer: Optional[Callable[[AccessResult], None]] = None,
     stop: Optional[Callable[[], bool]] = None,
-    slab_size: int = DEFAULT_SLAB,
+    slab_size: Optional[int] = None,
 ) -> int:
     """:func:`drive` on the machine's simulation engine: the runners' entry point.
 
@@ -217,7 +216,8 @@ def drive_batch(
     and hands the rest to :func:`drive`, counting
     ``sim.batch_fallbacks{reason}``; a chunk of negative addresses hands
     off mid-run, access-exactly.  Results are bit-identical either way.
-    ``slab_size`` is the native engine's chunk length.
+    ``slab_size`` is the native engine's chunk length (default
+    :data:`repro.sim.fastsim.DEFAULT_SLAB`).
     """
     if num_accesses <= 0:
         return 0

@@ -457,12 +457,18 @@ class DynamicPartitionManager:
             raise RuntimeError("step_accesses before begin()")
         if target_extra <= 0:
             raise ValueError("target_extra must be positive")
-        self.scheduler.run_until(target_extra, on_step=self._observe)
+        self.scheduler.run_until(target_extra, monitor=self)
 
     def finish(self) -> DynamicReport:
-        """Flush telemetry and build the report for the stepped span."""
+        """Commit the simulation state, flush telemetry and build the
+        report for the stepped span.
+
+        The native session is released here, so a finished manager
+        holds no engine buffers; stepping it again re-adopts.
+        """
         if not self.scheduler.in_window:
             raise RuntimeError("finish before begin()")
+        self.scheduler.release()
         # Residue the interval harvests never saw (the final partial
         # interval) still reaches the registry.
         self.hierarchy.publish_telemetry()
@@ -511,8 +517,19 @@ class DynamicPartitionManager:
             self.drift_monitor.note_fresh_curve(index)
 
     # -- monitoring / probing --------------------------------------------------
+    #
+    # The manager is the scheduler's LegMonitor.  ``on_step`` is the
+    # per-access reference; the native engine runs ahead of it and calls
+    # ``on_stop`` only at the accesses where ``_after_access`` can act:
+    # an interval end, a probe attempt, a full log, a probe deadline, or
+    # the leg quota.  Everything in between only counts instructions and
+    # feeds the collector, which the engine does itself.
 
-    def _observe(self, index: int, result) -> None:
+    @property
+    def exception_cost_cycles(self) -> float:
+        return self.config.exception_cost_cycles
+
+    def on_step(self, index: int, result) -> None:
         """The scheduler's per-access hook for process ``index``."""
         managed = self.managed[index]
         ipa = managed.process.workload.instructions_per_access
@@ -526,6 +543,75 @@ class DynamicPartitionManager:
                 managed.process.cycles += (
                     taken * self.config.exception_cost_cycles
                 )
+        self._after_access(index, managed)
+
+    def collectors(self) -> List[object]:
+        return [m.collector for m in self.managed]
+
+    def stop_counts(
+        self, quota_at: Sequence[int]
+    ) -> Tuple[List[int], List[str]]:
+        """Each process's next access at which ``_after_access`` can act
+        (its total access count), and what acts there."""
+        stops: List[int] = []
+        reasons: List[str] = []
+        for managed, quota in zip(self.managed, quota_at):
+            process = managed.process
+            accesses = process.accesses
+            at, reason = quota, "quota"
+            # interval_instructions_seen grows by a fixed (>= 1) count
+            # per access; the interval ends at the first access to reach
+            # the interval length.
+            left = self._interval - managed.interval_instructions_seen
+            ipa = process.workload.instructions_per_access
+            end = accesses + max(1, -(-left // ipa))
+            if end < at:
+                at, reason = end, "interval"
+            if managed.collector is not None:
+                deadline = (
+                    managed.probe_accesses_start
+                    + managed.probe_deadline_accesses
+                )
+                if deadline < at:
+                    at, reason = deadline, "deadline"
+            elif self._attempt_pending(managed) and accesses + 1 < at:
+                at, reason = accesses + 1, "probe"
+            stops.append(at)
+            reasons.append(reason)
+        return stops, reasons
+
+    def credit(self, executed: Sequence[int]) -> None:
+        """Count the instructions of accesses the engine ran ahead."""
+        for managed, count in zip(self.managed, executed):
+            if count:
+                managed.interval_instructions_seen += (
+                    count * managed.process.workload.instructions_per_access
+                )
+
+    def on_stop(self, index: int) -> None:
+        """The engine stopped right after an access of ``index``: act."""
+        self._after_access(index, self.managed[index])
+
+    def _attempt_pending(self, managed: _Managed) -> bool:
+        """True when the next access's hook would try to start a probe
+        (reuse, gate, start) -- false while a store-backed attempt waits
+        for its phase's first settled sample, a no-op until an interval
+        ends."""
+        return (
+            managed.collector is None
+            and managed.needs_probe
+            and managed.intervals_since_probe >= managed.cooldown_intervals
+            and not (
+                self.store is not None
+                and self.config.reuse_enabled
+                and len(managed.timeline) <= managed.phase_sample_start
+            )
+        )
+
+    def _after_access(self, index: int, managed: _Managed) -> None:
+        """Everything the per-access hook does once the access has been
+        counted and its event fed to the collector."""
+        if managed.collector is not None:
             probe_accesses = (
                 managed.process.accesses - managed.probe_accesses_start
             )
@@ -539,7 +625,8 @@ class DynamicPartitionManager:
             # Section 7 future work: when the workload returns to a
             # phase already profiled, reuse the cached curve instead of
             # paying a full probe.  A miss (or a failed reuse gate)
-            # falls through to the ordinary probe path.
+            # falls through to the ordinary probe path.  (Keep this
+            # condition in step with _attempt_pending.)
             if not self._try_reuse(index, managed):
                 if (
                     self.store is not None
@@ -1188,6 +1275,9 @@ class DynamicPartitionManager:
         ):
             if colors == self.current_colors[index]:
                 continue
+            # Resizing rewrites page tables and line caches: commit the
+            # engine's state first (a sync point; the next leg re-adopts).
+            self.scheduler.release()
             # Lazy resize: only pages the process actually touches again
             # migrate (and pay), so cold history is free.
             report = self.allocator.resize(index, colors, lazy=True)

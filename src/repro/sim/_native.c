@@ -3,7 +3,8 @@
  * Compiled on demand by repro.sim.native (cc -O2 -shared -fPIC) and
  * loaded through ctypes.  It is a transliteration of the Python hot
  * path -- Process.step + MemoryHierarchy.access +
- * StreamPrefetcher.observe_miss + PageAllocator._frame_for -- over
+ * StreamPrefetcher.observe_miss + PageAllocator._frame_for, and on
+ * monitored co-runs TraceCollector.observe_event -- over
  * state arrays marshalled from the Python objects, so every counter,
  * cache-state ordering, RNG draw and float64 rounding step matches the
  * scalar driver bit for bit (the differential suite enforces this).
@@ -12,15 +13,18 @@
  *  - C never allocates.  Every buffer is a numpy array owned by
  *    Python, presized before the call.  When a step *would* overflow a
  *    map or log, the engine stops cleanly BEFORE mutating anything and
- *    reports a stop_reason; the wrapper commits state, grows the
- *    buffer, re-adopts, and resumes -- state is identical either way.
+ *    reports a stop_reason; the wrapper grows the buffer in place and
+ *    resumes -- state is identical either way.
+ *  - Co-runs stop right after the access at which some process reaches
+ *    its stop count or fills its trace log, so Python can run its
+ *    per-access monitor logic for exactly that access and resume.
  *  - All integers are int64; floats are IEEE double, and float
  *    expressions copy the Python parenthesization exactly
  *    (cycles += base + penalty; migration debt is its own +=).
- *  - The prefetcher RNG is CPython's MT19937 (random.Random): state
- *    words travel in, genrand_res53 draws happen here, and the
- *    advanced state travels back so later scalar draws continue
- *    seamlessly.
+ *  - The prefetcher and PMU-drop RNGs are CPython's MT19937
+ *    (random.Random): state words travel in, genrand_res53 draws happen
+ *    here, and the advanced state travels back so later scalar draws
+ *    continue seamlessly.
  */
 
 #include <stdint.h>
@@ -40,6 +44,8 @@ typedef uint32_t u32;
 #define STOP_GROW_PFSET    4   /* prefetched-line set near capacity */
 #define STOP_GROW_NEWPAGES 5   /* allocation log full */
 #define STOP_GROW_EVENTS   6   /* event buffer full (drain + resume) */
+#define STOP_AT            7   /* co-run: a process reached its stop count */
+#define STOP_DONE          8   /* co-run: a process's trace log filled */
 
 /* ----------------------------------------------------------------- */
 /* MT19937 (CPython random.Random core)                               */
@@ -297,6 +303,15 @@ static void set_discard(NMap *m, i64 key)
     }
 }
 
+/* Insert n keys (and values) in order into a table the wrapper sized
+ * for them: the adopt path's bulk map_put, so the layout is exactly the
+ * one incremental inserts would have produced. */
+EXPORT void repro_map_fill(NMap *m, const i64 *keys, const i64 *vals, i64 n)
+{
+    for (i64 i = 0; i < n; i++)
+        map_put(m, keys[i], vals ? vals[i] : 0);
+}
+
 /* ----------------------------------------------------------------- */
 /* Stream prefetcher (StreamPrefetcher transliteration)               */
 /* ----------------------------------------------------------------- */
@@ -388,6 +403,69 @@ typedef struct {
 } NShared;
 
 /* ----------------------------------------------------------------- */
+/* Trace collector (TraceCollector transliteration, threshold-one PMC) */
+/* ----------------------------------------------------------------- */
+
+typedef struct {
+    i64 *log;            /* log_cap entries */
+    i64 log_len;
+    i64 log_cap;
+    i64 sdar_valid;
+    i64 sdar;
+    i64 sdar_updates;
+    i64 pmc_total;
+    NMt mt;              /* drop RNG (random.Random(seed)) */
+    i64 since_miss;      /* _accesses_since_miss; -1 == None */
+    i64 inflight_window;
+    double drop_p;
+    i64 dual_lsu;        /* issue_mode.dual_lsu */
+    i64 stale_on_pf;     /* pmu_model.prefetch_raises_stale_entry */
+    i64 l1d_misses, dropped, stale_entries, exceptions;
+    double exception_cost;   /* cycles charged per exception taken */
+} NColl;
+
+static inline void coll_tick(NColl *c)
+{
+    if (c->since_miss >= 0)
+        c->since_miss++;
+}
+
+/* TraceCollector.observe_event for an access that issued npf prefetch
+ * requests; returns the exceptions it took. */
+static i64 coll_observe(NColl *c, i64 line, int l1_hit, i64 npf)
+{
+    if (c->log_len >= c->log_cap || l1_hit) {
+        coll_tick(c);
+        return 0;
+    }
+    c->l1d_misses++;
+    if (c->dual_lsu && c->since_miss >= 0
+            && c->since_miss < c->inflight_window
+            && mt_random(&c->mt) < c->drop_p) {
+        c->dropped++;
+        c->since_miss = 0;
+        return 0;
+    }
+    i64 before = c->exceptions;
+    c->sdar = line;
+    c->sdar_valid = 1;
+    c->sdar_updates++;
+    c->pmc_total++;
+    c->exceptions++;
+    c->log[c->log_len++] = line;
+    c->since_miss = 0;
+    if (c->stale_on_pf) {
+        for (i64 j = 0; j < npf && c->log_len < c->log_cap; j++) {
+            c->pmc_total++;
+            c->exceptions++;
+            c->log[c->log_len++] = c->sdar;
+            c->stale_entries++;
+        }
+    }
+    return c->exceptions - before;
+}
+
+/* ----------------------------------------------------------------- */
 /* Per-process state                                                  */
 /* ----------------------------------------------------------------- */
 
@@ -439,7 +517,11 @@ typedef struct {
     i64 pf_trim_bound;   /* 4 * machine.l1d_lines */
 
     i64 stop_reason;
+
+    NColl *coll;         /* attached trace collector (co-run), or NULL */
 } NProc;
+
+
 
 /* Event recording (solo observed runs). */
 typedef struct {
@@ -591,7 +673,10 @@ static i64 step_precheck(const NProc *p, const NEvents *ev)
     return STOP_NONE;
 }
 
-static void step_one(NShared *sh, NProc *p, NEvents *ev)
+/* One access; returns its physical line and sets *l1_hit_out and
+ * *npf_out (prefetch requests issued) for the trace collector. */
+static i64 step_one(NShared *sh, NProc *p, NEvents *ev, int *l1_hit_out,
+                    i64 *npf_out)
 {
     i64 vaddr = p->vaddrs[p->pos];
     int is_store = p->stores[p->pos] != 0;
@@ -691,6 +776,9 @@ static void step_one(NShared *sh, NProc *p, NEvents *ev)
                             | (is_store ? 32 : 0));
         ev->pf_count[k] = pf_emitted;
     }
+    *l1_hit_out = l1_hit;
+    *npf_out = pf_emitted;
+    return line;
 }
 
 /* ----------------------------------------------------------------- */
@@ -712,18 +800,25 @@ EXPORT i64 repro_solo(NShared *sh, NProc *p, i64 n, NEvents *ev)
             p->stop_reason = reason;
             return i;
         }
-        step_one(sh, p, ev);
+        int l1_hit;
+        i64 npf;
+        step_one(sh, p, ev, &l1_hit, &npf);
     }
     return n;
 }
 
 /* Cycle-fair co-run: repeatedly step the process with the smallest
- * (cycles, index) -- heapq's (cycles, index) tuple order -- until one
- * has executed target_extra accesses beyond its start count.  Returns
- * that process index, or -1 with sh->stop_reason / sh->stop_proc set
- * (refill or growth needed for that process). */
+ * (cycles, index) -- heapq's (cycles, index) tuple order.  A process
+ * with an attached trace collector feeds it every access and is charged
+ * exception_cost cycles per PMU exception, exactly as the dynamic
+ * manager's per-access monitor does.  Returns the index of the first
+ * process that, right after one of its accesses, has reached
+ * stop_at[index] accesses (sh->stop_reason = STOP_AT) or filled its
+ * collector's log (STOP_DONE).  Returns -1 with sh->stop_reason /
+ * sh->stop_proc set when that process needs a refill or growth first;
+ * nothing was mutated for the blocked access. */
 EXPORT i64 repro_corun(NShared *sh, NProc **procs, i64 nproc,
-                       const i64 *start, i64 target_extra)
+                       const i64 *stop_at)
 {
     sh->stop_reason = STOP_NONE;
     sh->stop_proc = -1;
@@ -748,8 +843,22 @@ EXPORT i64 repro_corun(NShared *sh, NProc **procs, i64 nproc,
             sh->stop_proc = best;
             return -1;
         }
-        step_one(sh, p, 0);
-        if (p->accesses - start[best] >= target_extra)
+        int l1_hit;
+        i64 npf;
+        i64 line = step_one(sh, p, 0, &l1_hit, &npf);
+        NColl *c = p->coll;
+        if (c) {
+            i64 taken = coll_observe(c, line, l1_hit, npf);
+            if (taken)
+                p->cycles += (double)taken * c->exception_cost;
+            if (c->log_len >= c->log_cap) {
+                sh->stop_reason = STOP_DONE;
+                return best;
+            }
+        }
+        if (p->accesses >= stop_at[best]) {
+            sh->stop_reason = STOP_AT;
             return best;
+        }
     }
 }

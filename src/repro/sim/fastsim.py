@@ -4,11 +4,14 @@
 entry point.  On a ``MachineConfig(sim_engine="native")`` machine (the
 default) it hands every run the compiled engine covers to
 :func:`drive_native` -- solo drives -- and the co-run scheduler hands
-its quota legs to :class:`NativeCorun`.  Both execute the access stream
+its legs to :class:`NativeCorun`: unhooked legs in one call, the
+dynamic manager's monitored legs stop by stop on a session that stays
+resident, with the PMU trace collector running inside the engine.
+Both execute the access stream
 in array *chunks* inside :mod:`repro.sim.native`, bit-identically to the
 scalar :meth:`Process.step` loop: core counters, cache residency in LRU
 order, the PMU-visible event stream, float cycle clocks and the
-prefetcher RNG all match exactly.
+prefetcher and PMU-drop RNGs all match exactly.
 
 Everything the C engine does not cover runs on the scalar reference
 instead, counted as ``sim.batch_fallbacks{reason=...}``:
@@ -21,8 +24,10 @@ instead, counted as ``sim.batch_fallbacks{reason=...}``:
 ``observer``
     an observer that is not a trace collector (no ``observe_events``),
     a stop predicate other than a :class:`CollectorStop` over that
-    collector, or a co-run leg with a per-access hook (the dynamic
-    manager's monitor) -- the engine cannot run ahead of Python code;
+    collector, a co-run leg with an arbitrary per-access hook, or a
+    monitored leg whose live collector :func:`collector_covered`
+    refuses (a fault-injection wrapper) -- the engine cannot run ahead
+    of Python code;
 ``vaddr``
     a chunk holding negative virtual addresses (C's truncating division
     would diverge from Python's floor division).
@@ -31,15 +36,17 @@ Native chunks and scalar steps consume the process's one logical access
 stream through a shared :class:`BatchAccessSource`, so a drive that
 hands off mid-run, scalar ``step()`` calls and co-run interleaving can
 be mixed freely on the same process without skipping or replaying an
-access.  ``tests/sim/test_fastsim.py`` and ``tests/sim/test_native.py``
-hold the native engine bit-identical to the scalar reference.
+access.  ``tests/sim/test_fastsim.py``, ``tests/sim/test_native.py``,
+``tests/sim/test_stop_protocol.py`` and
+``tests/runner/test_resident_session.py`` hold the native engine
+bit-identical to the scalar reference.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +58,7 @@ __all__ = [
     "BatchAccessSource",
     "CollectorStop",
     "NativeCorun",
+    "collector_covered",
     "count_fallback",
     "drive_native",
     "fallback_reason",
@@ -60,7 +68,12 @@ __all__ = [
 #: Accesses per chunk of a process's access stream.  Every nested
 #: pattern cursor holds a chunk, so this bounds the generator's resident
 #: arrays; 4096 accesses already amortize the per-chunk C-call overhead.
+#: Read at call time wherever a ``slab_size`` is left as None.
 DEFAULT_SLAB = 1 << 12
+
+
+def _slab(slab_size: Optional[int]) -> int:
+    return DEFAULT_SLAB if slab_size is None else slab_size
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +94,8 @@ class BatchAccessSource:
 
     __slots__ = ("_batches", "_pending")
 
-    def __init__(self, process, slab_size: int = DEFAULT_SLAB):
+    def __init__(self, process, slab_size: Optional[int] = None):
+        slab_size = _slab(slab_size)
         if process._stream is None:
             self._batches = process.workload.access_batches(
                 process._seed_offset, batch_size=slab_size
@@ -130,7 +144,8 @@ def _buffer_stream(stream: Iterator, slab_size: int):
         yield vaddrs, stores
 
 
-def _source_for(process, slab_size: int = DEFAULT_SLAB) -> BatchAccessSource:
+def _source_for(process,
+                slab_size: Optional[int] = None) -> BatchAccessSource:
     source = getattr(process, "_fastsim_source", None)
     if source is None:
         source = BatchAccessSource(process, slab_size)
@@ -212,7 +227,7 @@ def drive_native(
     num_accesses: int,
     events_fn=None,
     stop: Optional[Callable[[], bool]] = None,
-    slab_size: int = DEFAULT_SLAB,
+    slab_size: Optional[int] = None,
 ) -> Tuple[int, bool]:
     """Solo drive on the compiled C engine.
 
@@ -233,8 +248,9 @@ def drive_native(
     ``sim.batch_slabs`` and ``sim.batch_ns`` under ``engine="native"``.
     """
     started = time.perf_counter()
+    slab_size = _slab(slab_size)
     source = _source_for(process, slab_size)
-    executed, chunks, finished = _run_native(
+    executed, chunks, grows, finished = _run_native(
         process, hierarchy, num_accesses, events_fn, stop, source, slab_size
     )
     telemetry = get_telemetry()
@@ -243,6 +259,9 @@ def drive_native(
         registry.counter("sim.batch_accesses", engine="native").inc(executed)
         if chunks:
             registry.counter("sim.batch_slabs", engine="native").inc(chunks)
+            registry.counter("sim.native_stops", reason="refill").inc(chunks)
+        if grows:
+            registry.counter("sim.native_stops", reason="grow").inc(grows)
         # Wall time as a counter so throughput survives worker fold-back
         # (a gauge would keep only one worker's last value; the report
         # layer derives accesses/sec from the two counter totals).
@@ -253,8 +272,9 @@ def drive_native(
 
 
 def _run_native(process, hierarchy, num_accesses, events_fn, stop, source,
-                slab_size) -> Tuple[int, int, bool]:
-    """:func:`drive_native`'s engine loop; also returns the chunk count."""
+                slab_size) -> Tuple[int, int, int, bool]:
+    """:func:`drive_native`'s engine loop; also returns the chunk and
+    grow-stop counts: ``(executed, chunks, grows, finished)``."""
     from repro.sim import native as _native
 
     session = _native.NativeSession(hierarchy, [process])
@@ -267,6 +287,7 @@ def _run_native(process, hierarchy, num_accesses, events_fn, stop, source,
 
     executed = 0
     chunks = 0
+    grows = 0
     limit = num_accesses
     session.adopt()
     try:
@@ -283,7 +304,7 @@ def _run_native(process, hierarchy, num_accesses, events_fn, stop, source,
                     session.set_chunk(0, vaddrs, stores)
                 except _native.NativeVaddrError:
                     source.push_back(vaddrs, stores)
-                    return executed, chunks, False
+                    return executed, chunks, grows, False
                 chunks += 1
 
             if events is None:
@@ -295,6 +316,7 @@ def _run_native(process, hierarchy, num_accesses, events_fn, stop, source,
                 reason = proc.stop_reason
                 if reason != _native.STOP_REFILL:
                     session.grow(0, reason)
+                    grows += 1
                 continue
 
             quota = min(limit - executed, events.cap)
@@ -322,77 +344,173 @@ def _run_native(process, hierarchy, num_accesses, events_fn, stop, source,
                         "native replay diverged (engine bug)"
                     )
                 executed += consumed
-                return executed, chunks, True
+                return executed, chunks, grows, True
             executed += ran
             if stop is not None and stop():
-                return executed, chunks, True
+                return executed, chunks, grows, True
             if ran < quota:
                 reason = proc.stop_reason
                 if reason != _native.STOP_REFILL:
                     session.grow(0, reason)
+                    grows += 1
     finally:
         session.commit()
-    return executed, chunks, True
+    return executed, chunks, grows, True
+
+
+def collector_covered(collector) -> bool:
+    """True when the engine can run ``collector`` inside a co-run leg.
+
+    Only a plain :class:`~repro.pmu.sampling.TraceCollector` with its
+    threshold-one PMC qualifies; wrappers (fault injection) and other
+    observers keep the scalar per-access hook.
+    """
+    from repro.pmu.sampling import TraceCollector
+
+    return (
+        type(collector) is TraceCollector
+        and collector.pmc.threshold == 1
+        and not collector.pmc.overflow_pending
+    )
 
 
 class NativeCorun:
-    """Compiled co-run scheduler: all cores interleave inside one C call.
+    """Compiled co-run scheduler on one resident :class:`NativeSession`.
 
-    Runs the unhooked legs of :class:`repro.runner.corun.CorunScheduler`
-    in :func:`repro_corun`, which repeatedly steps the process with
-    the lowest (cycles, index) key -- the exact argmin order the heap
-    produces -- until some process completes its quota.  Legs commit on
-    return, so warmup resets and scalar interleaving see live state.
+    :meth:`run` executes the cycle-fair interleave of
+    :class:`repro.runner.corun.CorunScheduler` inside
+    :func:`repro_corun`, which repeatedly steps the process with the
+    lowest (cycles, index) key -- the exact order the heap produces --
+    until some process reaches its stop count or fills its attached
+    trace collector's log.
+
+    The session is adopted on the first run and stays resident across
+    runs.  Between runs Python owns only the *light* state -- every
+    process's clocks and core counters, copied in and out around each
+    run -- while the *heavy* state (caches, page tables, TLBs,
+    prefetchers, RNGs, collectors) stays in C until :meth:`release`
+    commits it.  Counts ``sim.native_stops{reason}``,
+    ``sim.session_syncs{kind}`` / ``sim.session_sync_ns{kind}`` and the
+    ``sim.batch_*`` throughput pair.
     """
 
     def __init__(self, processes, hierarchy: MemoryHierarchy,
-                 slab_size: int = DEFAULT_SLAB):
+                 slab_size: Optional[int] = None):
         from repro.sim import native as _native
 
         self._native = _native
         self.processes = list(processes)
-        self.slab_size = slab_size
+        self.slab_size = slab_size = _slab(slab_size)
         self.sources = [_source_for(p, slab_size) for p in self.processes]
         self.session = _native.NativeSession(hierarchy, self.processes)
+        self._accesses = 0
+        self._ns = 0
+        self._stops: Dict[str, int] = {}
+        self._syncs: Dict[str, List[int]] = {"light": [0, 0], "full": [0, 0]}
 
-    def run_until(self, start, target_extra: int) -> bool:
-        """Run every process until one has executed ``target_extra``
-        accesses beyond its entry in ``start``.
+    def note_stop(self, reason: str) -> None:
+        """Count one stop of the interleave under ``reason``."""
+        self._stops[reason] = self._stops.get(reason, 0) + 1
 
-        Returns False (with all state committed) when a chunk with
-        negative virtual addresses forces the leg back onto the scalar
-        steps; no process has reached its quota at that point.
+    def _note_sync(self, kind: str, started: float) -> None:
+        entry = self._syncs[kind]
+        entry[0] += 1
+        entry[1] += max(1, int((time.perf_counter() - started) * 1e9))
+
+    def run(self, stop_at, collectors=None,
+            exception_cost: float = 0.0) -> Tuple[int, bool]:
+        """Interleave until one process, right after an access, has
+        ``stop_at[index]`` accesses in total or a full collector log.
+
+        ``collectors`` lists each process's collector (or None; no list
+        means none at all); each must be :func:`collector_covered`.
+        They stay attached while later runs pass them again; a collector
+        that is dropped, or whose log fills, is detached (its state
+        written back).  Returns ``(index,
+        log_full)`` -- whether the stop is that collector's full log --
+        or ``(-1, False)`` when a chunk of negative virtual addresses
+        forces the caller onto the scalar heap (call :meth:`release`
+        first).
         """
         native = self._native
         session = self.session
         started = time.perf_counter()
+        if session.adopted:
+            session.push_light()
+            self._note_sync("light", started)
+        else:
+            session.adopt()
+            self._note_sync("full", started)
+        if collectors is None:
+            collectors = [None] * len(self.processes)
+        for index, collector in enumerate(collectors):
+            if session.attached_collector(index) is not collector:
+                session.detach_collector(index)
+                if collector is not None:
+                    session.attach_collector(index, collector, exception_cost)
         before = sum(p.accesses for p in self.processes)
-        session.adopt()
+        ran_from = time.perf_counter()
         try:
             while True:
-                finisher, reason, proc = session.run_corun(
-                    start, target_extra
-                )
-                if finisher >= 0:
-                    return True
+                index, reason, proc = session.run_corun(stop_at)
+                if index >= 0:
+                    log_full = reason == native.STOP_DONE
+                    if log_full:
+                        session.detach_collector(index)
+                    return index, log_full
                 if reason == native.STOP_REFILL:
+                    self.note_stop("refill")
                     source = self.sources[proc]
                     vaddrs, stores = source.take(self.slab_size)
                     try:
                         session.set_chunk(proc, vaddrs, stores)
                     except native.NativeVaddrError:
                         source.push_back(vaddrs, stores)
-                        return False
+                        return -1, False
                 else:
+                    self.note_stop("grow")
                     session.grow(proc, reason)
         finally:
+            self._ns += max(1, int((time.perf_counter() - ran_from) * 1e9))
+            pulled = time.perf_counter()
+            session.pull_light()
+            self._note_sync("light", pulled)
+            self._accesses += sum(p.accesses for p in self.processes) - before
+
+    def release(self) -> None:
+        """Commit every piece of state back to the Python objects and
+        publish the pending counters; the session holds no C state after
+        this (the next :meth:`run` re-adopts)."""
+        session = self.session
+        if session.adopted:
+            started = time.perf_counter()
+            session.push_light()
             session.commit()
-            telemetry = get_telemetry()
-            if telemetry.enabled:
-                registry = telemetry.registry
+            self._note_sync("full", started)
+        self.flush_telemetry()
+
+    def flush_telemetry(self) -> None:
+        """Publish (and zero) the counters accumulated since the last flush."""
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            registry = telemetry.registry
+            if self._accesses:
                 registry.counter("sim.batch_accesses", engine="native").inc(
-                    sum(p.accesses for p in self.processes) - before
+                    self._accesses
                 )
+            if self._ns:
+                # Wall time as a counter so throughput survives worker
+                # fold-back (the report derives accesses/sec from both).
                 registry.counter("sim.batch_ns", engine="native").inc(
-                    max(1, int((time.perf_counter() - started) * 1e9))
+                    self._ns
                 )
+            for reason, count in sorted(self._stops.items()):
+                registry.counter("sim.native_stops", reason=reason).inc(count)
+            for kind, (count, ns) in self._syncs.items():
+                if count:
+                    registry.counter("sim.session_syncs", kind=kind).inc(count)
+                    registry.counter("sim.session_sync_ns", kind=kind).inc(ns)
+        self._accesses = 0
+        self._ns = 0
+        self._stops = {}
+        self._syncs = {"light": [0, 0], "full": [0, 0]}

@@ -12,7 +12,11 @@ other half of the contract:
 - **marshal**: :class:`NativeSession` adopts the live Python objects
   (caches, counters, allocator slices, prefetcher streams, the CPython
   MT19937 state) into C-visible arrays, and commits the advanced state
-  back so scalar and native execution interleave seamlessly.
+  back so scalar and native execution interleave seamlessly.  A session
+  that stays adopted across co-run stops exchanges only the *light*
+  state (clocks and core counters, :meth:`NativeSession.push_light` /
+  :meth:`~NativeSession.pull_light`) and hosts attached trace
+  collectors (:meth:`NativeSession.attach_collector`).
 - **protocol**: the engine never allocates; when a step *would*
   overflow a map or log it stops cleanly before mutating anything and
   reports a ``STOP_GROW_*`` reason.  The session grows the buffer
@@ -41,6 +45,8 @@ __all__ = [
     "STOP_NONE",
     "STOP_REFILL",
     "STOP_GROW_EVENTS",
+    "STOP_AT",
+    "STOP_DONE",
 ]
 
 i64 = ctypes.c_int64
@@ -59,10 +65,23 @@ STOP_GROW_PT = 3
 STOP_GROW_PFSET = 4
 STOP_GROW_NEWPAGES = 5
 STOP_GROW_EVENTS = 6
+STOP_AT = 7
+STOP_DONE = 8
 
 HT_EMPTY = -1
-_M64 = (1 << 64) - 1
-_HASH_MULT = 0x9E3779B97F4A7C15
+
+# Initial headroom of the engine's growable buffers.  Outgrowing one is
+# a clean stop-grow-resume, never a behaviour change, so these only
+# trade resident memory against grow stops (the stop-protocol stress
+# tests shrink them to force growth on every path).
+#: Free entries adopted line-cache (TLB) and page-table maps start with.
+MAP_HEADROOM = 1024
+#: Free entries the stale-page set starts with.
+STALE_HEADROOM = 64
+#: Free entries the prefetched-line set starts with, beyond its trim bound.
+PFSET_HEADROOM = 64
+#: Allocation-log capacity (int64 words, three per logged page).
+NEWPAGES_CAP = 3 << 10
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +129,18 @@ class _NShared(ctypes.Structure):
     ]
 
 
+class _NColl(ctypes.Structure):
+    _fields_ = [
+        ("log", P_i64), ("log_len", i64), ("log_cap", i64),
+        ("sdar_valid", i64), ("sdar", i64), ("sdar_updates", i64),
+        ("pmc_total", i64), ("mt", _NMt), ("since_miss", i64),
+        ("inflight_window", i64), ("drop_p", f64), ("dual_lsu", i64),
+        ("stale_on_pf", i64),
+        ("l1d_misses", i64), ("dropped", i64), ("stale_entries", i64),
+        ("exceptions", i64), ("exception_cost", f64),
+    ]
+
+
 class _NProc(ctypes.Structure):
     _fields_ = [
         ("vaddrs", P_i64), ("stores", P_u8), ("pos", i64), ("len", i64),
@@ -128,6 +159,7 @@ class _NProc(ctypes.Structure):
         ("l1", _NCache),
         ("pf_set", _NMap), ("pf_trim_bound", i64),
         ("stop_reason", i64),
+        ("coll", ctypes.POINTER(_NColl)),
     ]
 
 
@@ -144,6 +176,15 @@ class _NEvents(ctypes.Structure):
 # ---------------------------------------------------------------------------
 
 _CFLAGS = ["-O2", "-shared", "-fPIC", "-fvisibility=hidden"]
+#: ``REPRO_NATIVE_SANITIZE=1`` builds the engine with AddressSanitizer
+#: and UBSan instead (its own cache key: the flags feed the tag).  Load
+#: it with ``LD_PRELOAD=$(gcc -print-file-name=libasan.so)``,
+#: ``ASAN_OPTIONS=detect_leaks=0`` and ``PYTHONMALLOC=malloc``.
+_SANITIZE_CFLAGS = [
+    "-O1", "-g", "-fsanitize=address,undefined",
+    "-fno-sanitize-recover=all", "-fno-omit-frame-pointer",
+    "-shared", "-fPIC", "-fvisibility=hidden",
+]
 _LIB: Optional[ctypes.CDLL] = None
 _LIB_TRIED = False
 
@@ -163,6 +204,12 @@ def _find_cc() -> Optional[str]:
     return None
 
 
+def _cflags() -> List[str]:
+    if os.environ.get("REPRO_NATIVE_SANITIZE", "0") not in ("0", "off", ""):
+        return _SANITIZE_CFLAGS
+    return _CFLAGS
+
+
 def _build_lib() -> Optional[ctypes.CDLL]:
     source = os.path.join(os.path.dirname(__file__), "_native.c")
     try:
@@ -170,7 +217,8 @@ def _build_lib() -> Optional[ctypes.CDLL]:
             blob = src.read()
     except OSError:
         return None
-    tag = hashlib.sha256(blob + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    cflags = _cflags()
+    tag = hashlib.sha256(blob + " ".join(cflags).encode()).hexdigest()[:16]
     name = f"_repro_native_{tag}.so"
     for cache_dir in (os.path.dirname(source), tempfile.gettempdir()):
         so_path = os.path.join(cache_dir, name)
@@ -185,7 +233,7 @@ def _build_lib() -> Optional[ctypes.CDLL]:
         tmp_path = so_path + f".tmp{os.getpid()}"
         try:
             subprocess.run(
-                [cc, *_CFLAGS, "-o", tmp_path, source],
+                [cc, *cflags, "-o", tmp_path, source],
                 check=True, capture_output=True, timeout=120,
             )
             os.replace(tmp_path, so_path)
@@ -219,9 +267,13 @@ def native_lib() -> Optional[ctypes.CDLL]:
         lib.repro_solo.restype = i64
         lib.repro_corun.argtypes = [
             ctypes.POINTER(_NShared),
-            ctypes.POINTER(ctypes.POINTER(_NProc)), i64, P_i64, i64,
+            ctypes.POINTER(ctypes.POINTER(_NProc)), i64, P_i64,
         ]
         lib.repro_corun.restype = i64
+        lib.repro_map_fill.argtypes = [
+            ctypes.POINTER(_NMap), P_i64, P_i64, i64,
+        ]
+        lib.repro_map_fill.restype = None
     _LIB = lib
     return lib
 
@@ -246,8 +298,7 @@ def mt_fill(rng_state: tuple, n: int) -> Tuple[np.ndarray, tuple]:
         key.ctypes.data_as(P_u32), ctypes.byref(pos),
         out.ctypes.data_as(P_f64), n,
     )
-    state = (version, tuple(int(w) for w in key) + (int(pos.value),),
-             gauss_next)
+    state = (version, tuple(key.tolist()) + (int(pos.value),), gauss_next)
     return out, state
 
 
@@ -262,29 +313,6 @@ def _ht_cap_for(count: int, extra: int) -> int:
     return cap
 
 
-def _ht_fill(
-    keys: Sequence[int],
-    vals: Optional[Sequence[int]],
-    cap: int,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Open-addressing table layout identical to C ``map_put`` order."""
-    mask = cap - 1
-    tk = [HT_EMPTY] * cap
-    tv = [0] * cap if vals is not None else None
-    for index, key in enumerate(keys):
-        h = (key * _HASH_MULT) & _M64
-        h ^= h >> 29
-        slot = h & mask
-        while tk[slot] != HT_EMPTY:
-            slot = (slot + 1) & mask
-        tk[slot] = key
-        if tv is not None:
-            tv[slot] = vals[index]
-    keys_arr = np.array(tk, dtype=np.int64)
-    vals_arr = np.array(tv, dtype=np.int64) if tv is not None else None
-    return keys_arr, vals_arr
-
-
 def _map_live(keys_arr: np.ndarray, vals_arr: Optional[np.ndarray]):
     mask = keys_arr >= 0
     live_keys = keys_arr[mask].tolist()
@@ -293,20 +321,35 @@ def _map_live(keys_arr: np.ndarray, vals_arr: Optional[np.ndarray]):
 
 
 def _bind_map(
+    lib,
     struct: _NMap,
     keys: Sequence[int],
     vals: Optional[Sequence[int]],
     extra: int,
 ) -> Dict[str, Optional[np.ndarray]]:
+    """A fresh table holding ``keys`` (and ``vals``), inserted in order
+    by C ``map_put``, with room for ``extra`` more entries."""
     cap = _ht_cap_for(len(keys), extra)
-    keys_arr, vals_arr = _ht_fill(keys, vals, cap)
+    keys_arr = np.full(cap, HT_EMPTY, dtype=np.int64)
+    vals_arr = np.zeros(cap, dtype=np.int64) if vals is not None else None
     struct.cap = cap
-    struct.count = len(keys)
+    struct.count = 0
     struct.tombs = 0
     struct.keys = keys_arr.ctypes.data_as(P_i64)
     struct.vals = (
         vals_arr.ctypes.data_as(P_i64) if vals_arr is not None else P_i64()
     )
+    if len(keys):
+        src_keys = np.asarray(keys, dtype=np.int64)
+        src_vals = (
+            np.asarray(vals, dtype=np.int64) if vals is not None else None
+        )
+        lib.repro_map_fill(
+            ctypes.byref(struct), src_keys.ctypes.data_as(P_i64),
+            src_vals.ctypes.data_as(P_i64) if src_vals is not None
+            else P_i64(),
+            src_keys.size,
+        )
     return {"keys": keys_arr, "vals": vals_arr}
 
 
@@ -424,7 +467,10 @@ class NativeSession:
     Lifecycle: construct, :meth:`adopt`, feed chunks + run, then
     :meth:`commit`.  Between adopt and commit the C-side arrays are the
     single source of truth for everything they cover; nothing else may
-    touch the hierarchy, allocator, prefetchers or RNGs.
+    touch the hierarchy, allocator, prefetchers, RNGs or attached
+    collectors.  The one exception is the light state: between two runs
+    Python may read and change clocks and core counters if it brackets
+    the change with :meth:`pull_light` and :meth:`push_light`.
     """
 
     def __init__(self, hierarchy, processes: Sequence, lib=None):
@@ -447,7 +493,14 @@ class NativeSession:
             None for _ in self.processes
         ]
         self._gauss: List[object] = [None for _ in self.processes]
+        # Attached trace collectors: (collector, _NColl, log array,
+        # MT key array, (RNG version, gauss_next)).
+        self._colls: List[Optional[tuple]] = [None for _ in self.processes]
         self._adopted = False
+
+    @property
+    def adopted(self) -> bool:
+        return self._adopted
 
     # -- adopt --------------------------------------------------------------
 
@@ -526,8 +579,8 @@ class NativeSession:
 
         tlb = process._tlb
         arrs["tlb"] = _bind_map(
-            p.tlb, list(tlb.keys()), list(tlb.values()),
-            max(4096, len(tlb)),
+            self.lib, p.tlb, list(tlb.keys()), list(tlb.values()),
+            max(MAP_HEADROOM, len(tlb)),
         )
         pt_keys: List[int] = []
         pt_vals: List[int] = []
@@ -536,12 +589,15 @@ class NativeSession:
                 pt_keys.append(vpage)
                 pt_vals.append(frame)
         arrs["pt"] = _bind_map(
-            p.page_table, pt_keys, pt_vals, max(4096, len(pt_keys))
+            self.lib, p.page_table, pt_keys, pt_vals,
+            max(MAP_HEADROOM, len(pt_keys)),
         )
         stale = [vpage for (owner, vpage) in allocator._stale if owner == pid]
-        arrs["stale"] = _bind_map(p.stale, stale, None, 64)
+        arrs["stale"] = _bind_map(
+            self.lib, p.stale, stale, None, STALE_HEADROOM
+        )
 
-        newpages = np.empty(1 << 15, dtype=np.int64)
+        newpages = np.empty(NEWPAGES_CAP, dtype=np.int64)
         p.newpages = newpages.ctypes.data_as(P_i64)
         p.newpages_len = 0
         p.newpages_cap = newpages.size
@@ -595,10 +651,11 @@ class NativeSession:
         arrs["l1"] = _bind_cache(p.l1, hierarchy.l1d[core])
 
         p.pf_trim_bound = 4 * machine.l1d_lines
+        p.coll = ctypes.POINTER(_NColl)()
         tracked = sorted(hierarchy._prefetched_l1[core])
         arrs["pf_set"] = _bind_map(
-            p.pf_set, tracked, None,
-            p.pf_trim_bound + max(config.depth, 1) + 64,
+            self.lib, p.pf_set, tracked, None,
+            p.pf_trim_bound + max(config.depth, 1) + PFSET_HEADROOM,
         )
         p.stop_reason = STOP_NONE
 
@@ -626,6 +683,7 @@ class NativeSession:
         allocator.lazy_migrations = sh.lazy_migrations
 
         for index, process in enumerate(self.processes):
+            self.detach_collector(index)
             self._commit_proc(index, process)
         self._adopted = False
 
@@ -682,7 +740,7 @@ class NativeSession:
         process.prefetcher.issued = p.pf.issued
 
         version, gauss_next = self._gauss[index]
-        words = tuple(int(w) for w in arrs["mt"]) + (int(p.mt.pos),)
+        words = tuple(arrs["mt"].tolist()) + (int(p.mt.pos),)
         process._pf_rng.setstate((version, words, gauss_next))
 
         counters = hierarchy.counters[core]
@@ -701,6 +759,118 @@ class NativeSession:
         live, _ = _map_live(arrs["pf_set"]["keys"], None)
         tracked.clear()
         tracked.update(live)
+
+    # -- light state (clocks + core counters) --------------------------------
+
+    def push_light(self) -> None:
+        """Copy every process's clocks and core counters into C.
+
+        The light state is all Python may touch between two co-run
+        stops without a full :meth:`commit`; heavy state (caches, page
+        tables, TLBs, prefetchers, RNGs) stays in C until then.
+        """
+        counters = self.hierarchy.counters
+        for p, process in zip(self.procs, self.processes):
+            c = counters[process.core]
+            p.cycles = process.cycles
+            p.instructions = process.instructions
+            p.accesses = process.accesses
+            p.c_instructions = c.instructions
+            p.c_loads = c.loads
+            p.c_stores = c.stores
+            p.c_l1d_misses = c.l1d_misses
+            p.c_l2da = c.l2_demand_accesses
+            p.c_l2dm = c.l2_demand_misses
+            p.c_l3_hits = c.l3_hits
+            p.c_mem = c.memory_accesses
+
+    def pull_light(self) -> None:
+        """Copy every process's clocks and core counters out of C."""
+        counters = self.hierarchy.counters
+        for p, process in zip(self.procs, self.processes):
+            c = counters[process.core]
+            process.cycles = p.cycles
+            process.instructions = p.instructions
+            process.accesses = p.accesses
+            c.instructions = p.c_instructions
+            c.loads = p.c_loads
+            c.stores = p.c_stores
+            c.l1d_misses = p.c_l1d_misses
+            c.l2_demand_accesses = p.c_l2da
+            c.l2_demand_misses = p.c_l2dm
+            c.l3_hits = p.c_l3_hits
+            c.memory_accesses = p.c_mem
+
+    # -- trace collectors ---------------------------------------------------
+
+    def attached_collector(self, index: int):
+        entry = self._colls[index]
+        return entry[0] if entry is not None else None
+
+    def attach_collector(self, index: int, collector,
+                         exception_cost: float) -> None:
+        """Hand ``collector`` (a plain threshold-one
+        :class:`~repro.pmu.sampling.TraceCollector`) to the engine: from
+        now on C feeds it every access of process ``index`` and charges
+        ``exception_cost`` cycles per PMU exception, until
+        :meth:`detach_collector` writes its state back."""
+        if not self._adopted:
+            raise RuntimeError("attach_collector before adopt()")
+        c = _NColl()
+        log = np.empty(collector.log.capacity, dtype=np.int64)
+        entries = collector.log._entries
+        log[: len(entries)] = entries
+        c.log = log.ctypes.data_as(P_i64)
+        c.log_len = len(entries)
+        c.log_cap = collector.log.capacity
+        sdar = collector.sdar.read()
+        c.sdar_valid = 0 if sdar is None else 1
+        c.sdar = 0 if sdar is None else sdar
+        c.sdar_updates = collector.sdar.updates
+        c.pmc_total = collector.pmc.total
+        version, internal, gauss_next = collector._rng.getstate()
+        key = np.array(internal[:624], dtype=np.uint32)
+        c.mt.key = key.ctypes.data_as(P_u32)
+        c.mt.pos = internal[624]
+        since = collector._accesses_since_miss
+        c.since_miss = -1 if since is None else since
+        c.inflight_window = collector.inflight_window
+        c.drop_p = collector.drop_probability
+        c.dual_lsu = 1 if collector.issue_mode.dual_lsu else 0
+        c.stale_on_pf = (
+            1 if collector.pmu_model.prefetch_raises_stale_entry else 0
+        )
+        c.l1d_misses = collector.l1d_misses
+        c.dropped = collector.dropped_events
+        c.stale_entries = collector.stale_entries
+        c.exceptions = collector.exceptions
+        c.exception_cost = exception_cost
+        self._colls[index] = (collector, c, log, key, (version, gauss_next))
+        self.procs[index].coll = ctypes.pointer(c)
+
+    def detach_collector(self, index: int) -> None:
+        """Write the engine's collector state back into the Python
+        collector and stop feeding it (no-op when none is attached)."""
+        entry = self._colls[index]
+        if entry is None:
+            return
+        collector, c, log, key, (version, gauss_next) = entry
+        self._colls[index] = None
+        self.procs[index].coll = ctypes.POINTER(_NColl)()
+        collector.log._entries = log[: c.log_len].tolist()
+        collector.sdar._value = c.sdar if c.sdar_valid else None
+        collector.sdar.updates = c.sdar_updates
+        collector.pmc.total = c.pmc_total
+        collector._rng.setstate(
+            (version, tuple(key.tolist()) + (int(c.mt.pos),), gauss_next)
+        )
+        collector._accesses_since_miss = (
+            None if c.since_miss < 0 else c.since_miss
+        )
+        collector.l1d_misses = c.l1d_misses
+        collector.dropped_events = c.dropped
+        collector.stale_entries = c.stale_entries
+        collector.exceptions = c.exceptions
 
     # -- stream buffers -----------------------------------------------------
 
@@ -774,7 +944,7 @@ class NativeSession:
         # Rebuilding drops tombstones; double when the live count alone
         # still crowds the table.
         extra = max(256, len(keys))
-        arrs[name] = _bind_map(struct, keys, vals, extra)
+        arrs[name] = _bind_map(self.lib, struct, keys, vals, extra)
 
     # -- snapshots (observed-run rollback) ----------------------------------
 
@@ -832,17 +1002,21 @@ class NativeSession:
             ctypes.byref(self.sh), ctypes.byref(self.procs[index]), n, ev
         ))
 
-    def run_corun(self, start: Sequence[int],
-                  target_extra: int) -> Tuple[int, int, int]:
-        """One native co-run leg.  Returns ``(finisher, stop_reason,
-        stop_proc)`` -- ``finisher`` is -1 when the engine stopped for a
-        refill or growth instead of finishing."""
-        start_arr = np.array(start, dtype=np.int64)
-        finisher = int(self.lib.repro_corun(
+    def run_corun(self, stop_at: Sequence[int]) -> Tuple[int, int, int]:
+        """Interleave until some process, right after one of its
+        accesses, has executed ``stop_at[index]`` accesses in total or
+        filled its attached collector's log.
+
+        Returns ``(index, stop_reason, stop_proc)``: ``index`` is that
+        process with ``STOP_AT`` / ``STOP_DONE``, or -1 when process
+        ``stop_proc`` needs a refill or growth first.
+        """
+        stop_arr = np.array(stop_at, dtype=np.int64)
+        index = int(self.lib.repro_corun(
             ctypes.byref(self.sh), self._proc_ptrs, len(self.procs),
-            start_arr.ctypes.data_as(P_i64), target_extra,
+            stop_arr.ctypes.data_as(P_i64),
         ))
-        return finisher, int(self.sh.stop_reason), int(self.sh.stop_proc)
+        return index, int(self.sh.stop_reason), int(self.sh.stop_proc)
 
     def accesses(self, index: int) -> int:
         return int(self.procs[index].accesses)
